@@ -28,21 +28,18 @@ from . import __version__
 from .engine import (
     P_FLOOR,
     ZeroProbabilityOutcome,
+    apply_instrument,
     average_after,
     average_before,
     conditional_before,
     conditional_change,
+    induced_povm,
     outcome_probability,
     weak_value,
 )
 from .jaynes_cummings import build_fig1_model, jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
 from .linalg import frob, kron, unitary_from_generator
-from .objects import (
-    DensityState,
-    ObservableOp,
-    born_probability,
-    induced_povm,
-)
+from .objects import DensityState, ObservableOp, born_probability
 from .sampling import (
     random_density,
     random_diagonal_density,
@@ -208,7 +205,7 @@ def run_report(scenario: Scenario, tol: float) -> dict:
     outcomes = []
     for outcome in sorted(model.outcomes):
         p = outcome_probability(model, state, outcome)
-        if p <= P_FLOOR:
+        if not p > P_FLOOR:
             outcomes.append(
                 {"outcome": outcome, "probability": p, "error": "zero-probability outcome"}
             )
@@ -392,7 +389,7 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
 
-    # Induced POVM reproduces instrument outcome statistics.
+    # Induced POVM reproduces the Schrödinger-picture instrument statistics.
     worst = 0.0
     for _ in range(20):
         dims = rng.integers(2, 4, size=2)
@@ -401,11 +398,12 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         for _ in range(5):
             state = random_density(model.dim_s, rng)
             for outcome in model.outcomes:
+                branch = apply_instrument(model, state.matrix, outcome)
                 worst = max(
                     worst,
                     abs(
                         born_probability(state, effects.effect(outcome))
-                        - outcome_probability(model, state, outcome)
+                        - float(np.trace(branch).real)
                     ),
                 )
     checks.append(("probability_reproducibility", worst, 1e-10))
@@ -427,24 +425,20 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         worst = max(worst, abs(average_after(model, state, observable) - target_after))
     checks.append(("average_identities", worst, 1e-9))
 
-    # POVM route and model route of the weak value agree.
+    # The weak value from M(x) agrees with the instrument applied to Oρ.
     worst = 0.0
     for _ in range(20):
         dims = rng.integers(2, 4, size=2)
         model = random_model(int(dims[0]), int(dims[1]), rng)
-        effects = induced_povm(model)
         state = random_density(model.dim_s, rng)
         observable = random_observable(model.dim_s, rng)
         for outcome in model.outcomes:
             if outcome_probability(model, state, outcome) <= 1e-6:
                 continue
-            worst = max(
-                worst,
-                abs(
-                    conditional_before(model, state, observable, outcome)
-                    - conditional_before(effects, state, observable, outcome)
-                ),
-            )
+            p = float(np.trace(apply_instrument(model, state.matrix, outcome)).real)
+            op_rho = observable.matrix @ state.matrix
+            want = float(np.trace(apply_instrument(model, op_rho, outcome)).real) / p
+            worst = max(worst, abs(conditional_before(model, state, observable, outcome) - want))
     checks.append(("weak_value_dual_route", worst, 1e-9))
 
     # Both coherence-irrelevance branches on conserving random instances.

@@ -1,17 +1,23 @@
 """Instrument action, outcome probabilities, and conditional values.
 
-The central objects are the outcome-conditioned expectation values of a
-system observable taken after the measurement interaction,
+Every quantity is computed from two system operators per pointer outcome
+x, both images of :func:`dual_instrument` (the Heisenberg-picture
+instrument):
 
-    after(x)  = tr[(O ⊗ P^x) U (ρ ⊗ ϱ) U†] / p(x),
+    M(x) = tr_A[(1 ⊗ ϱ) U† (1 ⊗ P^x) U]    the induced effect,
+    K(x) = tr_A[(1 ⊗ ϱ) U† (O ⊗ P^x) U]    its "after" twin.
 
-and assigned retrodictively to the pre-measurement state,
+From these p(x) = tr[M(x)ρ], the value assigned retrodictively to the
+pre-measurement state (the real part of the generalized weak value) is
 
     before(x) = Re tr[M(x) O ρ] / p(x),
 
-the generalized weak value. ``before`` is computable through two
-independent routes (the induced POVM, or the instrument applied to the
-symmetrized operand (Oρ + ρO)/2) which must agree; both are exposed.
+and the expectation in the normalized post-measurement state is
+
+    after(x)  = tr[K(x) ρ] / p(x) = tr[(O ⊗ P^x) U (ρ ⊗ ϱ) U†] / p(x).
+
+:func:`apply_instrument`, the Schrödinger-picture instrument, is kept as
+the independent check of these formulas; no production path calls it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, partial_trace
+from .linalg import dagger, ensure_hermitian, kron, partial_trace
 from .objects import (
     DensityState,
     EffectSet,
@@ -29,13 +35,14 @@ from .objects import (
     born_probability,
 )
 
-# Conditional values are undefined at p(x) = 0; probabilities at or below
-# this floor raise ZeroProbabilityOutcome instead of returning junk.
+# Conditional values are undefined at p(x) = 0; probabilities not above
+# this floor (NaN included) raise ZeroProbabilityOutcome instead of
+# returning junk.
 P_FLOOR = 1e-12
 
 
 class ZeroProbabilityOutcome(ValueError):
-    """Raised when a conditional value is requested at p(x) ≤ P_FLOOR."""
+    """Raised when a conditional value is requested at p(x) not above P_FLOOR."""
 
 
 @dataclass(frozen=True)
@@ -54,24 +61,54 @@ def apply_instrument(
 ) -> np.ndarray:
     """Unnormalized outcome branch tr_A[(1 ⊗ P^x) U (operand ⊗ ϱ) U†].
 
-    Linear in ``operand``, which need not be Hermitian; the weak-value
-    route feeds it Oρ.
+    Linear in ``operand``, which need not be Hermitian. This is the
+    Schrödinger-picture instrument; it is the adjoint of
+    :func:`dual_instrument` and serves as its independent check.
     """
     proj = kron(np.eye(model.dim_s), model.pointer.projector(outcome))
     joint = model.unitary @ kron(operand, model.apparatus_state.matrix) @ model.unitary.conj().T
     return partial_trace(proj @ joint, model.dim_s, model.dim_a, over="apparatus")
 
 
+def dual_instrument(
+    model: MeasurementModel, operator: np.ndarray, outcome: str
+) -> np.ndarray:
+    """Heisenberg-picture branch operator tr_A[(1 ⊗ ϱ) U† (operator ⊗ P^x) U].
+
+    The adjoint of :func:`apply_instrument`: for every system operator
+    ``a`` and operand ``r``, tr[dual_instrument(a) r] equals
+    tr[a apply_instrument(r)]. ``operator`` = 1 gives the induced effect
+    M(x); the observable gives K(x).
+    """
+    u = model.unitary
+    heisenberg = dagger(u) @ kron(operator, model.pointer.projector(outcome)) @ u
+    x4 = heisenberg.reshape(model.dim_s, model.dim_a, model.dim_s, model.dim_a)
+    return np.einsum("ab,sbta->st", model.apparatus_state.matrix, x4)
+
+
+def induced_povm(model: MeasurementModel) -> EffectSet:
+    """Effects M(x) of the POVM the measurement model implements on the system.
+
+    M(x) is Hermitian and PSD: the partial trace over the apparatus is
+    cyclic for apparatus-only factors, so it equals the sandwich
+    tr_A[(1 ⊗ ϱ^{1/2}) U† (1 ⊗ P^x) U (1 ⊗ ϱ^{1/2})]. The set reproduces
+    the model's outcome statistics: tr[M(x)ρ] equals the trace of the
+    instrument output for every ρ.
+    """
+    eye_s = np.eye(model.dim_s)
+    effects = tuple(ensure_hermitian(dual_instrument(model, eye_s, x)) for x in model.outcomes)
+    return EffectSet(model.outcomes, effects)
+
+
 def outcome_probability(model: MeasurementModel, state: DensityState, outcome: str) -> float:
-    """p(x) as the trace of the instrument branch, clamped to [0, 1]."""
-    p = float(np.trace(apply_instrument(model, state.matrix, outcome)).real)
-    return min(max(p, 0.0), 1.0)
+    """p(x) = tr[M(x)ρ], clamped to [0, 1]."""
+    return born_probability(state, dual_instrument(model, np.eye(model.dim_s), outcome))
 
 
 def _checked_probability(p: float, outcome: str) -> float:
-    if p <= P_FLOOR:
+    if not p > P_FLOOR:
         raise ZeroProbabilityOutcome(
-            f"outcome {outcome!r} has probability {p:.3e} <= {P_FLOOR:.0e}"
+            f"outcome {outcome!r} has probability {p:.3e}, not above {P_FLOOR:.0e}"
         )
     return p
 
@@ -82,10 +119,9 @@ def conditional_after(
     observable: ObservableOp,
     outcome: str,
 ) -> float:
-    """Expectation of the observable in the normalized post-outcome state."""
-    branch = apply_instrument(model, state.matrix, outcome)
-    p = _checked_probability(float(np.trace(branch).real), outcome)
-    return float(np.trace(observable.matrix @ branch).real) / p
+    """Expectation of the observable in the normalized post-outcome state,
+    tr[K(x)ρ]/p(x)."""
+    return conditional_change(model, state, observable, outcome).after
 
 
 def conditional_before(
@@ -96,20 +132,10 @@ def conditional_before(
 ) -> float:
     """Generalized weak value Re tr[M(x)Oρ]/p(x) of the pre-measurement state.
 
-    Accepts either an ``EffectSet`` (POVM route, the formula above) or a
-    ``MeasurementModel`` (model route: the instrument applied to the
-    symmetrized operand (Oρ + ρO)/2). The two routes agree identically in
-    exact arithmetic; keeping both makes each an oracle for the other.
+    The real part of :func:`weak_value`; ``source`` supplies M(x) as
+    described there.
     """
-    rho = state.matrix
-    obs = observable.matrix
-    if isinstance(source, EffectSet):
-        m = source.effect(outcome)
-        p = _checked_probability(born_probability(state, m), outcome)
-        return float(np.trace(m @ obs @ rho).real) / p
-    sym = (obs @ rho + rho @ obs) / 2
-    p = _checked_probability(outcome_probability(source, state, outcome), outcome)
-    return float(np.trace(apply_instrument(source, sym, outcome)).real) / p
+    return weak_value(source, state, observable, outcome).real
 
 
 def weak_value(
@@ -120,16 +146,17 @@ def weak_value(
 ) -> complex:
     """Full complex weak value tr[M(x)Oρ]/p(x).
 
-    ``conditional_before`` is the real part; the imaginary part is exposed
-    here purely as a diagnostic and never enters any conditional change.
+    M(x) is the given effect of an ``EffectSet``, or the induced effect of
+    a ``MeasurementModel``. ``conditional_before`` is the real part; the
+    imaginary part is exposed here purely as a diagnostic and never
+    enters any conditional change.
     """
-    op_rho = observable.matrix @ state.matrix
     if isinstance(source, EffectSet):
         m = source.effect(outcome)
-        p = _checked_probability(born_probability(state, m), outcome)
-        return complex(np.trace(m @ op_rho)) / p
-    p = _checked_probability(outcome_probability(source, state, outcome), outcome)
-    return complex(np.trace(apply_instrument(source, op_rho, outcome))) / p
+    else:
+        m = dual_instrument(source, np.eye(source.dim_s), outcome)
+    p = _checked_probability(born_probability(state, m), outcome)
+    return complex(np.trace(m @ observable.matrix @ state.matrix)) / p
 
 
 def conditional_change(
@@ -138,10 +165,16 @@ def conditional_change(
     observable: ObservableOp,
     outcome: str,
 ) -> ConditionalReport:
-    """Before/after/delta report for one outcome (delta = after − before)."""
-    p = _checked_probability(outcome_probability(model, state, outcome), outcome)
-    before = conditional_before(model, state, observable, outcome)
-    after = conditional_after(model, state, observable, outcome)
+    """Before/after/delta report for one outcome (delta = after − before).
+
+    M(x) and K(x) are each built once and give p, before and after.
+    """
+    rho = state.matrix
+    m = dual_instrument(model, np.eye(model.dim_s), outcome)
+    k = dual_instrument(model, observable.matrix, outcome)
+    p = _checked_probability(born_probability(state, m), outcome)
+    before = float(np.trace(m @ observable.matrix @ rho).real) / p
+    after = float(np.trace(k @ rho).real) / p
     return ConditionalReport(
         outcome=outcome,
         probability=p,
@@ -154,25 +187,28 @@ def conditional_change(
 def average_before(
     model: MeasurementModel, state: DensityState, observable: ObservableOp
 ) -> float:
-    """Σ_x p(x)·before(x); equals tr[Oρ]. Zero-probability outcomes add 0."""
+    """Σ_x p(x)·before(x) = Σ_x Re tr[M(x)Oρ]; equals tr[Oρ].
+    Zero-probability outcomes add 0."""
+    rho = state.matrix
+    eye_s = np.eye(model.dim_s)
     total = 0.0
     for outcome in model.outcomes:
-        p = outcome_probability(model, state, outcome)
-        if p <= P_FLOOR:
+        m = dual_instrument(model, eye_s, outcome)
+        if not born_probability(state, m) > P_FLOOR:
             continue
-        total += p * conditional_before(model, state, observable, outcome)
+        total += float(np.trace(m @ observable.matrix @ rho).real)
     return total
 
 
 def average_after(
     model: MeasurementModel, state: DensityState, observable: ObservableOp
 ) -> float:
-    """Σ_x p(x)·after(x); equals the post-interaction expectation
-    tr[(O ⊗ 1) U (ρ ⊗ ϱ) U†]. Zero-probability outcomes add 0."""
+    """Σ_x p(x)·after(x) = Σ_x tr[K(x)ρ]; equals the post-interaction
+    expectation tr[(O ⊗ 1) U (ρ ⊗ ϱ) U†]. Zero-probability outcomes add 0."""
+    rho = state.matrix
     total = 0.0
     for outcome in model.outcomes:
-        p = outcome_probability(model, state, outcome)
-        if p <= P_FLOOR:
+        if not outcome_probability(model, state, outcome) > P_FLOOR:
             continue
-        total += p * conditional_after(model, state, observable, outcome)
+        total += float(np.trace(dual_instrument(model, observable.matrix, outcome) @ rho).real)
     return total

@@ -186,18 +186,3 @@ def unitary_from_generator(h: np.ndarray, theta: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * theta * w)) @ dagger(v)
 
-
-def psd_sqrt(p: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
-    ``-tol`` is a genuine negativity and raises.
-    """
-    p = ensure_hermitian(as_matrix(p))
-    w, v = np.linalg.eigh(p)
-    if w.min() < -tol:
-        raise ValueError(
-            f"matrix is not PSD: smallest eigenvalue {w.min():.3e} < -{tol:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)

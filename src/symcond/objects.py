@@ -18,11 +18,7 @@ from .linalg import (
     PSD_TOL,
     as_matrix,
     dagger,
-    ensure_hermitian,
     frob,
-    kron,
-    partial_trace,
-    psd_sqrt,
 )
 
 
@@ -266,24 +262,3 @@ def born_probability(state: DensityState, effect: np.ndarray) -> float:
     p = float(np.trace(as_matrix(effect) @ state.matrix).real)
     return min(max(p, 0.0), 1.0)
 
-
-def induced_povm(model: MeasurementModel) -> EffectSet:
-    """Effects of the POVM the measurement model implements on the system.
-
-    Built through the apparatus-state square root,
-
-        M(x) = tr_A[(1 ⊗ ϱ^{1/2}) U† (1 ⊗ P^x) U (1 ⊗ ϱ^{1/2})],
-
-    which is Hermitian and PSD by construction. The set reproduces the
-    model's outcome statistics: tr[M(x)ρ] equals the trace of the
-    instrument output for every ρ.
-    """
-    eye_s = np.eye(model.dim_s)
-    sandwich = kron(eye_s, psd_sqrt(model.apparatus_state.matrix))
-    udag = dagger(model.unitary)
-    effects = []
-    for label in model.pointer.outcomes:
-        big = sandwich @ udag @ kron(eye_s, model.pointer.projector(label)) @ model.unitary @ sandwich
-        m = partial_trace(big, model.dim_s, model.dim_a, over="apparatus")
-        effects.append(ensure_hermitian(m))
-    return EffectSet(model.pointer.outcomes, tuple(effects))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import P_FLOOR, ZeroProbabilityOutcome, apply_instrument, conditional_after, conditional_before
+from .engine import P_FLOOR, ZeroProbabilityOutcome, conditional_change
 from .linalg import (
     commutator,
     cluster_labels,
@@ -133,7 +133,6 @@ def check_cross_elements_imaginary(
     if not mask.any():
         return 0.0
     basis = kron(vs, va)
-    eye_s = np.eye(model.dim_s)
     residual = 0.0
     for label in model.pointer.outcomes:
         op = kron(observable.matrix, model.pointer.projector(label))
@@ -220,8 +219,9 @@ def _pair_residuals(
         afters = []
         try:
             for model, state in pairs:
-                befores.append(conditional_before(model, state, observable, outcome))
-                afters.append(conditional_after(model, state, observable, outcome))
+                rep = conditional_change(model, state, observable, outcome)
+                befores.append(rep.before)
+                afters.append(rep.after)
         except ZeroProbabilityOutcome:
             continue
         res_before = max(res_before, max(befores) - min(befores))

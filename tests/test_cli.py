@@ -229,11 +229,24 @@ def test_selftest_passes_and_is_seeded(capsys, monkeypatch):
 
 
 def test_console_script_is_installed():
-    import shutil
+    # Runs without an install: the module entry point from the source tree,
+    # plus the console-script declaration that an install would wire up.
+    import os
     import subprocess
+    import sys
+    import tomllib
+    from pathlib import Path
 
-    exe = shutil.which("symcond")
-    assert exe is not None
-    proc = subprocess.run([exe, "run", FIG1], capture_output=True, text=True)
-    assert proc.returncode == 0
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcond", "run", FIG1], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
     json.loads(proc.stdout)
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["symcond"] == "symcond.cli:main"

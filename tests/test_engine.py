@@ -19,6 +19,7 @@ from symcond import (
     conditional_after,
     conditional_before,
     conditional_change,
+    dual_instrument,
     induced_povm,
     outcome_probability,
     weak_value,
@@ -66,6 +67,22 @@ def test_apply_instrument_is_linear():
         model, b, model.outcomes[0]
     )
     assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim_s", [2, 3, 4])
+@pytest.mark.parametrize("dim_a", [2, 3, 4])
+def test_dual_instrument_is_adjoint_of_apply_instrument(dim_s, dim_a):
+    # tr[dual(A) r] = tr[(A ⊗ 1) (1 ⊗ P^x) U (r ⊗ ϱ) U†] = tr[A apply(r)],
+    # for operators that need not be Hermitian.
+    rng = np.random.default_rng(100 * dim_s + dim_a)
+    model = random_model(dim_s, dim_a, rng)
+    for _ in range(3):
+        a = rng.normal(size=(dim_s, dim_s)) + 1j * rng.normal(size=(dim_s, dim_s))
+        r = rng.normal(size=(dim_s, dim_s)) + 1j * rng.normal(size=(dim_s, dim_s))
+        for label in model.outcomes:
+            lhs = np.trace(dual_instrument(model, a, label) @ r)
+            rhs = np.trace(a @ apply_instrument(model, r, label))
+            assert abs(lhs - rhs) < 1e-12
 
 
 def test_apply_instrument_unknown_outcome():
@@ -153,6 +170,12 @@ def test_conditional_before_matches_rank_one_weak_value():
     assert got == pytest.approx((amp / overlap).real, abs=1e-10)
 
 
+def instrument_weak_value(model, rho, obs, label) -> complex:
+    """Oracle: tr[apply_instrument(Oρ)] / tr[apply_instrument(ρ)]."""
+    p = np.trace(apply_instrument(model, rho.matrix, label)).real
+    return complex(np.trace(apply_instrument(model, obs.matrix @ rho.matrix, label))) / p
+
+
 def test_conditional_before_routes_agree():
     rng = np.random.default_rng(27)
     for _ in range(20):
@@ -163,9 +186,9 @@ def test_conditional_before_routes_agree():
         for label in model.outcomes:
             if outcome_probability(model, rho, label) < 1e-6:
                 continue
-            via_model = conditional_before(model, rho, obs, label)
-            via_povm = conditional_before(effects, rho, obs, label)
-            assert abs(via_model - via_povm) < 1e-10
+            want = instrument_weak_value(model, rho, obs, label).real
+            assert abs(conditional_before(model, rho, obs, label) - want) < 1e-10
+            assert abs(conditional_before(effects, rho, obs, label) - want) < 1e-10
 
 
 def test_weak_value_routes_agree_including_imag():
@@ -175,9 +198,10 @@ def test_weak_value_routes_agree_including_imag():
     obs = random_observable(2, rng)
     effects = induced_povm(model)
     for label in model.outcomes:
+        want = instrument_weak_value(model, rho, obs, label)
         wv_model = weak_value(model, rho, obs, label)
-        wv_povm = weak_value(effects, rho, obs, label)
-        assert abs(wv_model - wv_povm) < 1e-10
+        assert abs(wv_model - want) < 1e-10
+        assert abs(weak_value(effects, rho, obs, label) - want) < 1e-10
         assert wv_model.real == pytest.approx(
             conditional_before(model, rho, obs, label), abs=1e-12
         )
@@ -219,6 +243,17 @@ def test_zero_probability_outcome_raises():
         conditional_before(model, rho, obs, "-")
     with pytest.raises(ZeroProbabilityOutcome):
         conditional_change(model, rho, obs, "-")
+
+
+def test_nan_apparatus_state_raises_instead_of_nan_report():
+    xi = np.diag([0.3, 0.7]).astype(complex)
+    xi[0, 1] = np.nan
+    model = identity_model(xi)
+    rho = DensityState(np.diag([0.5, 0.5]).astype(complex))
+    obs = ObservableOp(np.diag([-1.0, 1.0]))
+    for label in ("-", "+"):
+        with pytest.raises(ZeroProbabilityOutcome):
+            conditional_change(model, rho, obs, label)
 
 
 def test_average_before_recovers_unconditioned_mean():

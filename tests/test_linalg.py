@@ -16,7 +16,6 @@ from symcond.linalg import (
     hermitian_eig,
     kron,
     partial_trace,
-    psd_sqrt,
     unitary_from_generator,
 )
 
@@ -162,25 +161,6 @@ def test_unitary_from_generator_is_a_one_parameter_group(t1, t2):
     u12 = unitary_from_generator(h, t1 + t2)
     assert frob(u1 @ u1.conj().T - np.eye(3)) < 1e-10
     assert frob(u1 @ u2 - u12) < 1e-9
-
-
-def test_psd_sqrt_simple_cases():
-    assert_allclose(psd_sqrt(np.eye(3, dtype=complex)), np.eye(3), atol=1e-14)
-    assert_allclose(psd_sqrt(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    p = a @ a.conj().T
-    r = psd_sqrt(p)
-    assert frob(r @ r - p) < 1e-10 * max(1.0, frob(p))
-    assert frob(r - r.conj().T) < 1e-12
-
-
-def test_psd_sqrt_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError, match="not PSD"):
-        psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
 
 def test_commutator_antisymmetry():

@@ -201,14 +201,14 @@ def test_induced_povm_reproduces_probabilities():
     rng = np.random.default_rng(2024)
     model = random_model(2, 3, rng)
     effects = induced_povm(model)
-    from symcond.engine import outcome_probability
+    from symcond.engine import apply_instrument
 
     for _ in range(20):
         rho = random_density(2, rng)
         for label in model.outcomes:
-            p_model = outcome_probability(model, rho, label)
+            p_instr = np.trace(apply_instrument(model, rho.matrix, label)).real
             p_povm = born_probability(rho, effects.effect(label))
-            assert abs(p_model - p_povm) < 1e-10
+            assert abs(p_instr - p_povm) < 1e-10
 
 
 def test_effect_set_lookup_errors():
