@@ -27,18 +27,14 @@ import numpy as np
 from . import __version__
 from .engine import (
     P_FLOOR,
+    CompiledModel,
     ZeroProbabilityOutcome,
     apply_instrument,
-    average_after,
-    average_before,
-    conditional_before,
-    conditional_change,
     induced_povm,
-    outcome_probability,
-    weak_value,
+    outcome_averages,
 )
 from .jaynes_cummings import build_fig1_model, jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
-from .linalg import frob, kron, unitary_from_generator
+from .linalg import frob, hermitian_eig, kron, unitary_from_generator
 from .objects import DensityState, ObservableOp, born_probability
 from .sampling import (
     random_density,
@@ -108,16 +104,20 @@ def sweep_records(
     ``difference`` is delta_coherent − delta_decohered. Rows are ordered
     by (grid index, outcome label). A zero-probability outcome at one
     point is recorded as an error string and does not abort the sweep.
+    The model is compiled and L_S decomposed once for the whole grid.
     """
+    compiled = CompiledModel(model, observable)
+    spectral = hermitian_eig(conserved.system_part.matrix)
     records: list[SweepRecord] = []
     errors: list[str] = []
     for phi in grid:
         state = state_at(float(phi))
-        state_dec = DensityState(decohere(state.matrix, conserved.system_part))
+        values = compiled.evaluate(state)
+        values_dec = compiled.evaluate(DensityState(decohere(state.matrix, spectral)))
         for outcome in sorted(model.outcomes):
             try:
-                rep = conditional_change(model, state, observable, outcome)
-                rep_dec = conditional_change(model, state_dec, observable, outcome)
+                rep = values[outcome].report()
+                rep_dec = values_dec[outcome].report()
             except ZeroProbabilityOutcome as exc:
                 errors.append(f"phi={fmt(phi)} outcome={outcome}: {exc}")
                 continue
@@ -202,16 +202,20 @@ def run_report(scenario: Scenario, tol: float) -> dict:
     """Full structured report for one scenario at its own phase."""
     model, observable = scenario.model, scenario.observable
     state = scenario.system_state()
+    values = CompiledModel(model, observable).evaluate(state)
     outcomes = []
     for outcome in sorted(model.outcomes):
-        p = outcome_probability(model, state, outcome)
-        if not p > P_FLOOR:
+        branch = values[outcome]
+        if not branch.probability > P_FLOOR:
             outcomes.append(
-                {"outcome": outcome, "probability": p, "error": "zero-probability outcome"}
+                {
+                    "outcome": outcome,
+                    "probability": branch.probability,
+                    "error": "zero-probability outcome",
+                }
             )
             continue
-        rep = conditional_change(model, state, observable, outcome)
-        wv = weak_value(model, state, observable, outcome)
+        rep = branch.report()
         outcomes.append(
             {
                 "outcome": outcome,
@@ -219,18 +223,16 @@ def run_report(scenario: Scenario, tol: float) -> dict:
                 "before": rep.before,
                 "after": rep.after,
                 "delta": rep.delta,
-                "weak_value_imag": wv.imag,
+                "weak_value_imag": (branch.weak_numerator / rep.probability).imag,
             }
         )
+    average_before, average_after = outcome_averages(values)
     report = {
         "scenario": scenario.source,
         "tolerance": tol,
         "validation": "ok",
         "outcomes": outcomes,
-        "averages": {
-            "before": average_before(model, state, observable),
-            "after": average_after(model, state, observable),
-        },
+        "averages": {"before": average_before, "after": average_after},
     }
     if scenario.conserved is not None:
         q = scenario.conserved
@@ -421,8 +423,8 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
             np.trace(kron(observable.matrix, np.eye(model.dim_a)) @ evolved).real
         )
         target_before = float(np.trace(observable.matrix @ state.matrix).real)
-        worst = max(worst, abs(average_before(model, state, observable) - target_before))
-        worst = max(worst, abs(average_after(model, state, observable) - target_after))
+        avg_before, avg_after = outcome_averages(CompiledModel(model, observable).evaluate(state))
+        worst = max(worst, abs(avg_before - target_before), abs(avg_after - target_after))
     checks.append(("average_identities", worst, 1e-9))
 
     # The weak value from M(x) agrees with the instrument applied to Oρ.
@@ -432,13 +434,14 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         model = random_model(int(dims[0]), int(dims[1]), rng)
         state = random_density(model.dim_s, rng)
         observable = random_observable(model.dim_s, rng)
+        values = CompiledModel(model, observable).evaluate(state)
         for outcome in model.outcomes:
-            if outcome_probability(model, state, outcome) <= 1e-6:
+            if not values[outcome].probability > 1e-6:
                 continue
             p = float(np.trace(apply_instrument(model, state.matrix, outcome)).real)
             op_rho = observable.matrix @ state.matrix
             want = float(np.trace(apply_instrument(model, op_rho, outcome)).real) / p
-            worst = max(worst, abs(conditional_before(model, state, observable, outcome) - want))
+            worst = max(worst, abs(values[outcome].report().before - want))
     checks.append(("weak_value_dual_route", worst, 1e-9))
 
     # Both coherence-irrelevance branches on conserving random instances.
@@ -488,13 +491,14 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
         observable = random_diagonal_observable(model.dim_s, rng)
         state = random_density(model.dim_s, rng)
+        values = CompiledModel(model, observable).evaluate(state)
         for outcome in model.outcomes:
-            if outcome_probability(model, state, outcome) <= 1e-6:
+            if not values[outcome].probability > 1e-6:
                 continue
             before_bw, after_bw = blockwise_conditional_values(
                 model, state, observable, quantity, outcome
             )
-            rep = conditional_change(model, state, observable, outcome)
+            rep = values[outcome].report()
             worst = max(worst, abs(before_bw - rep.before), abs(after_bw - rep.after))
     checks.append(("blockwise_crosspath", worst, 1e-9))
 
@@ -515,10 +519,21 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ASSERT
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number above zero."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return tol
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="comparison tolerance (default: the scenario's, else 1e-9)",
     )

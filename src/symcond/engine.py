@@ -16,6 +16,10 @@ and the expectation in the normalized post-measurement state is
 
     after(x)  = tr[K(x) ρ] / p(x) = tr[(O ⊗ P^x) U (ρ ⊗ ϱ) U†] / p(x).
 
+M(x) and K(x) depend on the model and the observable, never on the
+state, so :class:`CompiledModel` builds them once and evaluates any
+number of states against them; it is the one evaluation route, and the
+single-outcome functions below are thin wrappers over it.
 :func:`apply_instrument`, the Schrödinger-picture instrument, is kept as
 the independent check of these formulas; no production path calls it.
 """
@@ -100,17 +104,87 @@ def induced_povm(model: MeasurementModel) -> EffectSet:
     return EffectSet(model.outcomes, effects)
 
 
-def outcome_probability(model: MeasurementModel, state: DensityState, outcome: str) -> float:
-    """p(x) = tr[M(x)ρ], clamped to [0, 1]."""
-    return born_probability(state, dual_instrument(model, np.eye(model.dim_s), outcome))
-
-
 def _checked_probability(p: float, outcome: str) -> float:
     if not p > P_FLOOR:
         raise ZeroProbabilityOutcome(
             f"outcome {outcome!r} has probability {p:.3e}, not above {P_FLOOR:.0e}"
         )
     return p
+
+
+@dataclass(frozen=True)
+class BranchValues:
+    """The state-dependent traces of one outcome, from :meth:`CompiledModel.evaluate`."""
+
+    outcome: str
+    probability: float  # p(x) = tr[M(x)ρ], clamped to [0, 1] as born_probability does
+    weak_numerator: complex  # tr[M(x)Oρ]
+    after_numerator: float  # Re tr[K(x)ρ]
+
+    def report(self) -> ConditionalReport:
+        """Before/after/delta; raises ZeroProbabilityOutcome at p not above P_FLOOR."""
+        p = _checked_probability(self.probability, self.outcome)
+        before = self.weak_numerator.real / p
+        after = self.after_numerator / p
+        return ConditionalReport(
+            outcome=self.outcome, probability=p, before=before, after=after, delta=after - before
+        )
+
+
+class CompiledModel:
+    """A measurement model and an observable reduced to their branch operators.
+
+    Built once per (model, observable): for every outcome x it stacks M(x),
+    M(x)·O and K(x), each a d_s×d_s image of :func:`dual_instrument`.
+    :meth:`evaluate` then costs one stacked d_s×d_s product per state,
+    whatever the apparatus dimension.
+    """
+
+    def __init__(self, model: MeasurementModel, observable: ObservableOp):
+        self.outcomes = model.outcomes
+        o = observable.matrix
+        eye_s = np.eye(model.dim_s)
+        m = np.stack([dual_instrument(model, eye_s, x) for x in self.outcomes])
+        k = np.stack([dual_instrument(model, o, x) for x in self.outcomes])
+        self._operators = np.concatenate([m, m @ o, k])
+
+    def evaluate(self, state: DensityState) -> dict[str, BranchValues]:
+        """p(x), tr[M(x)Oρ] and Re tr[K(x)ρ] for every outcome, keyed by label
+        in outcome order."""
+        traces = np.trace(self._operators @ state.matrix, axis1=1, axis2=2).tolist()
+        n = len(self.outcomes)
+        return {
+            x: BranchValues(
+                outcome=x,
+                probability=min(max(traces[i].real, 0.0), 1.0),
+                weak_numerator=traces[n + i],
+                after_numerator=traces[2 * n + i].real,
+            )
+            for i, x in enumerate(self.outcomes)
+        }
+
+
+def outcome_averages(values: dict[str, BranchValues]) -> tuple[float, float]:
+    """(Σ_x p(x)·before(x), Σ_x p(x)·after(x)) = (Σ_x Re tr[M(x)Oρ],
+    Σ_x Re tr[K(x)ρ]); outcomes not above P_FLOOR add 0."""
+    before = after = 0.0
+    for v in values.values():
+        if v.probability > P_FLOOR:
+            before += v.weak_numerator.real
+            after += v.after_numerator
+    return before, after
+
+
+def _branch(
+    model: MeasurementModel, state: DensityState, observable: ObservableOp, outcome: str
+) -> BranchValues:
+    model.pointer.projector(outcome)  # KeyError naming the known labels
+    return CompiledModel(model, observable).evaluate(state)[outcome]
+
+
+def outcome_probability(model: MeasurementModel, state: DensityState, outcome: str) -> float:
+    """p(x) = tr[M(x)ρ], clamped to [0, 1]."""
+    return _branch(model, state, ObservableOp(np.eye(model.dim_s)), outcome).probability
 
 
 def conditional_after(
@@ -153,10 +227,12 @@ def weak_value(
     """
     if isinstance(source, EffectSet):
         m = source.effect(outcome)
+        p = born_probability(state, m)
+        numerator = complex(np.trace(m @ observable.matrix @ state.matrix))
     else:
-        m = dual_instrument(source, np.eye(source.dim_s), outcome)
-    p = _checked_probability(born_probability(state, m), outcome)
-    return complex(np.trace(m @ observable.matrix @ state.matrix)) / p
+        values = _branch(source, state, observable, outcome)
+        p, numerator = values.probability, values.weak_numerator
+    return numerator / _checked_probability(p, outcome)
 
 
 def conditional_change(
@@ -165,23 +241,8 @@ def conditional_change(
     observable: ObservableOp,
     outcome: str,
 ) -> ConditionalReport:
-    """Before/after/delta report for one outcome (delta = after − before).
-
-    M(x) and K(x) are each built once and give p, before and after.
-    """
-    rho = state.matrix
-    m = dual_instrument(model, np.eye(model.dim_s), outcome)
-    k = dual_instrument(model, observable.matrix, outcome)
-    p = _checked_probability(born_probability(state, m), outcome)
-    before = float(np.trace(m @ observable.matrix @ rho).real) / p
-    after = float(np.trace(k @ rho).real) / p
-    return ConditionalReport(
-        outcome=outcome,
-        probability=p,
-        before=before,
-        after=after,
-        delta=after - before,
-    )
+    """Before/after/delta report for one outcome (delta = after − before)."""
+    return _branch(model, state, observable, outcome).report()
 
 
 def average_before(
@@ -189,15 +250,7 @@ def average_before(
 ) -> float:
     """Σ_x p(x)·before(x) = Σ_x Re tr[M(x)Oρ]; equals tr[Oρ].
     Zero-probability outcomes add 0."""
-    rho = state.matrix
-    eye_s = np.eye(model.dim_s)
-    total = 0.0
-    for outcome in model.outcomes:
-        m = dual_instrument(model, eye_s, outcome)
-        if not born_probability(state, m) > P_FLOOR:
-            continue
-        total += float(np.trace(m @ observable.matrix @ rho).real)
-    return total
+    return outcome_averages(CompiledModel(model, observable).evaluate(state))[0]
 
 
 def average_after(
@@ -205,10 +258,4 @@ def average_after(
 ) -> float:
     """Σ_x p(x)·after(x) = Σ_x tr[K(x)ρ]; equals the post-interaction
     expectation tr[(O ⊗ 1) U (ρ ⊗ ϱ) U†]. Zero-probability outcomes add 0."""
-    rho = state.matrix
-    total = 0.0
-    for outcome in model.outcomes:
-        if not outcome_probability(model, state, outcome) > P_FLOOR:
-            continue
-        total += float(np.trace(dual_instrument(model, observable.matrix, outcome) @ rho).real)
-    return total
+    return outcome_averages(CompiledModel(model, observable).evaluate(state))[1]

@@ -15,7 +15,9 @@ maps these to distinct exit codes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +123,13 @@ def _require(node: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(path, f"expected a finite number, got {value}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -130,8 +138,34 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _pair_array(node) -> np.ndarray | None:
+    """The (rows, cols, 2) float array of a well-formed, finite [re, im]
+    matrix, or None if any check fails."""
+    if type(node) is not list or not node or set(map(type, node)) != {list}:
+        return None
+    cells = list(chain.from_iterable(node))
+    if not cells or set(map(type, cells)) != {list}:
+        return None
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        return None
+    try:
+        pairs = np.array(node, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all():
+        return None
+    return pairs
+
+
 def parse_complex_matrix(node, path: str) -> np.ndarray:
-    """Nested [re, im]-pair arrays to a complex matrix, rectangularity checked."""
+    """Nested [re, im]-pair arrays to a complex matrix, rectangularity checked.
+
+    Entries must be finite. Well-formed input is converted in one step;
+    anything else is walked cell by cell to name the first bad field.
+    """
+    pairs = _pair_array(node)
+    if pairs is not None:
+        return np.ascontiguousarray(pairs).view(complex)[..., 0]
     if not isinstance(node, list) or not node:
         raise ScenarioError(path, "expected a non-empty array of rows")
     width = None
@@ -151,7 +185,7 @@ def parse_complex_matrix(node, path: str) -> np.ndarray:
                 or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in cell)
             ):
                 raise ScenarioError(f"{path}[{i}][{j}]", "expected an [re, im] pair of numbers")
-            entries.append(complex(cell[0], cell[1]))
+            entries.append(complex(*(_number(c, f"{path}[{i}][{j}]") for c in cell)))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -318,6 +352,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError("$", "top level must be an object")
 
     tolerance = _number(doc.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
+    if not tolerance > 0:
+        raise ScenarioError("tolerance", f"must be positive, got {tolerance}")
     model, default_quantity = _parse_model(_require(doc, "model", "model"), "model")
     fixed_state, coherent = _parse_state(
         _require(doc, "system_state", "system_state"), "system_state"

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import P_FLOOR, ZeroProbabilityOutcome, conditional_change
+from .engine import P_FLOOR, CompiledModel, ZeroProbabilityOutcome
 from .linalg import (
+    SpectralDecomposition,
     commutator,
     cluster_labels,
     cluster_tolerance,
@@ -46,14 +47,19 @@ class ConservedQuantity:
         return kron(ls, np.eye(la.shape[0])) + kron(np.eye(ls.shape[0]), la)
 
 
-def decohere(a: np.ndarray, l: ObservableOp | np.ndarray) -> np.ndarray:
+def decohere(
+    a: np.ndarray, l: ObservableOp | np.ndarray | SpectralDecomposition
+) -> np.ndarray:
     """Pinch ``a`` by the spectral projectors of ``l``: Σ_l Q^l a Q^l.
 
     Idempotent; the output commutes with ``l``; operators already
-    commuting with ``l`` are fixed points.
+    commuting with ``l`` are fixed points. Pass ``hermitian_eig(l)`` to
+    pinch many operators without decomposing ``l`` each time.
     """
-    lmat = l.matrix if isinstance(l, ObservableOp) else l
-    dec = hermitian_eig(lmat)
+    if isinstance(l, SpectralDecomposition):
+        dec = l
+    else:
+        dec = hermitian_eig(l.matrix if isinstance(l, ObservableOp) else l)
     out = np.zeros_like(np.asarray(a, dtype=complex))
     for q in dec.projectors:
         out += q @ a @ q
@@ -201,29 +207,23 @@ def _decohered_model(model: MeasurementModel, quantity: ConservedQuantity) -> Me
     )
 
 
-def _pair_residuals(
-    pairs: list[tuple[MeasurementModel, DensityState]],
-    observable: ObservableOp,
-) -> tuple[float, float]:
+def _pair_residuals(pairs: list[tuple[CompiledModel, DensityState]]) -> tuple[float, float]:
     """Max spread of before/after values across (model, state) evaluations.
 
     Outcomes where any evaluation in the family falls below the
     probability floor are skipped; the conditional values are undefined
     there, so nothing is claimed.
     """
-    model0 = pairs[0][0]
+    evaluations = [compiled.evaluate(state) for compiled, state in pairs]
     res_before = 0.0
     res_after = 0.0
-    for outcome in model0.outcomes:
-        befores = []
-        afters = []
+    for outcome in pairs[0][0].outcomes:
         try:
-            for model, state in pairs:
-                rep = conditional_change(model, state, observable, outcome)
-                befores.append(rep.before)
-                afters.append(rep.after)
+            reports = [values[outcome].report() for values in evaluations]
         except ZeroProbabilityOutcome:
             continue
+        befores = [rep.before for rep in reports]
+        afters = [rep.after for rep in reports]
         res_before = max(res_before, max(befores) - min(befores))
         res_after = max(res_after, max(afters) - min(afters))
     return res_before, res_after
@@ -262,11 +262,12 @@ def verify_theorem1(
         "observable_commutes": frob(commutator(observable.matrix, ls)),
         "state_commutes": frob(commutator(state.matrix, ls)),
     }
-    model2 = _decohered_model(model, quantity)
+    compiled = CompiledModel(model, observable)
+    compiled2 = CompiledModel(_decohered_model(model, quantity), observable)
     state_dec = DensityState(decohere(state.matrix, quantity.system_part))
 
-    sys_before, sys_after = _pair_residuals([(model, state), (model2, state)], observable)
-    anc_before, anc_after = _pair_residuals([(model2, state), (model2, state_dec)], observable)
+    sys_before, sys_after = _pair_residuals([(compiled, state), (compiled2, state)])
+    anc_before, anc_after = _pair_residuals([(compiled2, state), (compiled2, state_dec)])
     equalities = {
         "system_commutes_before": sys_before,
         "system_commutes_after": sys_after,
@@ -317,8 +318,10 @@ def verify_theorem2(
         ),
         "cross_elements": check_cross_elements_imaginary(model, observable, quantity),
     }
-    chain = [(model, state), (model2, state), (model, state_dec), (model2, state_dec)]
-    before_chain, after_chain = _pair_residuals(chain, observable)
+    compiled = CompiledModel(model, observable)
+    compiled2 = CompiledModel(model2, observable)
+    chain = [(compiled, state), (compiled2, state), (compiled, state_dec), (compiled2, state_dec)]
+    before_chain, after_chain = _pair_residuals(chain)
     equalities = {"before_chain": before_chain, "after_chain": after_chain}
     all_hyp = tuple(hypotheses)
     requires = {"before_chain": all_hyp, "after_chain": all_hyp}
@@ -371,9 +374,9 @@ def blockwise_conditional_values(
 
     joint = u @ kron(rho, varrho) @ dagger(u)
     p = float(np.trace(kron(eye_s, proj) @ joint).real)
-    if p <= P_FLOOR:
+    if not p > P_FLOOR:
         raise ZeroProbabilityOutcome(
-            f"outcome {outcome!r} has probability {p:.3e} <= {P_FLOOR:.0e}"
+            f"outcome {outcome!r} has probability {p:.3e}, not above {P_FLOOR:.0e}"
         )
 
     # Pairs (m, μ) grouped by their total eigenvalue m + μ.

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from symcond import fig1_scenario_path
+from symcond import fig1_scenario_path, load_scenario
 from symcond.cli import (
     EXIT_ASSERT,
     EXIT_INVARIANT,
@@ -16,7 +16,10 @@ from symcond.cli import (
     EXIT_OK,
     EXIT_PARSE,
     main,
+    run_report,
 )
+from symcond.sampling import random_density, random_diagonal_observable, random_number_conserving_model
+from symcond.scenario import matrix_to_pairs
 
 FIG1 = str(fig1_scenario_path())
 
@@ -121,6 +124,103 @@ def test_sweep_scenario_grid_is_used(tmp_path, capsys):
     assert rc == EXIT_OK
     doc_out = json.loads(capsys.readouterr().out)
     assert len(doc_out["records"]) == 10
+
+
+def test_sweep_reports_zero_probability_outcomes(tmp_path, capsys):
+    # A swap hands the system state to the apparatus, so the pointer reads
+    # the coherent state in the |±⟩ basis: at phase 0 (and 2π) outcome "-"
+    # is impossible, at phase π outcome "+" is.
+    def pairs(rows):
+        return [[[float(x), 0.0] for x in row] for row in rows]
+
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": pairs([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+            "apparatus_state": {"matrix": pairs([[1, 0], [0, 0]])},
+            "pointer": {
+                "outcomes": ["+", "-"],
+                "projectors": [pairs([[0.5, 0.5], [0.5, 0.5]]), pairs([[0.5, -0.5], [-0.5, 0.5]])],
+            },
+        },
+        "system_state": {"coherent": {"polar": np.pi / 2, "phase": 0.0}},
+        "observable": "sigma_z",
+        "conserved": {"system": pairs([[0, 0], [0, 1]]), "apparatus": pairs([[0, 0], [0, 1]])},
+    }
+    rc = main(["sweep", write_doc(tmp_path, doc), "--from", "0", "--to", str(2 * np.pi), "--steps", "5"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("# error:")] == [
+        "# error: phi=0 outcome=-: outcome '-' has probability 0.000e+00, not above 1e-12",
+        "# error: phi=3.1415926535897931 outcome=+: outcome '+' has probability 0.000e+00, not above 1e-12",
+        "# error: phi=6.2831853071795862 outcome=-: outcome '-' has probability 0.000e+00, not above 1e-12",
+    ]
+    assert len([l for l in out.splitlines() if l and not l.startswith("#")]) == 1 + 7
+
+
+def _plain(node) -> bool:
+    """Whether a report holds only the types the json module writes natively."""
+    if type(node) is dict:
+        return all(type(k) is str and _plain(v) for k, v in node.items())
+    if type(node) is list:
+        return all(_plain(v) for v in node)
+    return type(node) in (str, int, float, bool, type(None))
+
+
+def test_reports_hold_plain_scalars(tmp_path, capsys):
+    # Round-off makes every residual of this number-conserving model nonzero,
+    # so a numpy scalar anywhere in the report would reach the encoder.
+    rng = np.random.default_rng(5)
+    model, quantity = random_number_conserving_model(2, 3, rng)
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(model.unitary),
+            "apparatus_state": {"matrix": matrix_to_pairs(model.apparatus_state.matrix)},
+            "pointer": {
+                "outcomes": list(model.outcomes),
+                "projectors": [matrix_to_pairs(p) for p in model.pointer.projectors],
+            },
+        },
+        "system_state": {"matrix": matrix_to_pairs(random_density(2, rng).matrix)},
+        "observable": {"matrix": matrix_to_pairs(random_diagonal_observable(2, rng).matrix)},
+        "conserved": {
+            "system": matrix_to_pairs(quantity.system_part.matrix),
+            "apparatus": matrix_to_pairs(quantity.apparatus_part.matrix),
+        },
+    }
+    path = write_doc(tmp_path, doc)
+    report = run_report(load_scenario(path), 1e-9)
+    assert _plain(report)
+    assert report["checks"]["conservation"]["residual"] > 0.0
+    assert report["theorems"]["theorem2"]["equalities"]["before_chain"]["residual"] > 0.0
+
+    for argv in (["run", path], ["theorems", path, "--format", "json"]):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert _plain(payload)
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+def test_tol_flag_must_be_finite_and_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorems", FIG1, "--tol", value])
+    assert exc.value.code == EXIT_PARSE
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_non_finite_scenario_number_is_parse_error(tmp_path, capsys):
+    doc = fig1_doc()
+    doc["system_state"]["coherent"]["polar"] = float("nan")
+    assert main(["run", write_doc(tmp_path, doc)]) == EXIT_PARSE
+    doc = fig1_doc()
+    doc["tolerance"] = float("nan")
+    assert main(["theorems", write_doc(tmp_path, doc)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "polar: expected a finite number" in err
+    assert "tolerance: expected a finite number" in err
 
 
 def test_fig1_writes_canonical_file(tmp_path, capsys):

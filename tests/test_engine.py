@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from symcond import (
+    CompiledModel,
     DensityState,
     MeasurementModel,
     ObservableOp,
@@ -205,6 +206,32 @@ def test_weak_value_routes_agree_including_imag():
         assert wv_model.real == pytest.approx(
             conditional_before(model, rho, obs, label), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("dim_s", [2, 3, 4])
+@pytest.mark.parametrize("dim_a", [2, 3, 4])
+def test_compiled_model_matches_instrument_oracle(dim_s, dim_a):
+    # One compile serves every state; each value is checked against the
+    # Schrödinger-picture ratios tr[O apply(ρ)]/p and tr[apply(Oρ)]/p.
+    rng = np.random.default_rng(300 + 10 * dim_s + dim_a)
+    model = random_model(dim_s, dim_a, rng)
+    obs = random_observable(dim_s, rng)
+    compiled = CompiledModel(model, obs)
+    for _ in range(4):
+        rho = random_density(dim_s, rng)
+        values = compiled.evaluate(rho)
+        assert tuple(values) == model.outcomes
+        for label, branch in values.items():
+            out = apply_instrument(model, rho.matrix, label)
+            p = np.trace(out).real
+            assert abs(branch.probability - p) < 1e-12
+            assert p > 1e-6  # keeps the ratios below well conditioned
+            want_wv = instrument_weak_value(model, rho, obs, label)
+            rep = branch.report()
+            assert abs(branch.weak_numerator / rep.probability - want_wv) < 1e-12
+            assert abs(rep.before - want_wv.real) < 1e-12
+            assert abs(rep.after - np.trace(obs.matrix @ out).real / p) < 1e-12
+            assert rep.delta == rep.after - rep.before
 
 
 def test_conditional_change_identity_unitary_is_zero():

@@ -60,6 +60,58 @@ def test_parse_complex_matrix_error_paths():
     assert err.value.path == "m[0][1]"
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ([], "m: expected a non-empty array of rows"),
+        ([[[0.0, 0.0]], []], "m[1]: expected a non-empty array of [re, im] pairs"),
+        ([[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "m[1]: row length 2 != 1"),
+        ([[[0.0, 0.0], [True, 0.0]]], "m[0][1]: expected an [re, im] pair of numbers"),
+        ([[[0.0, 0.0], [1.0, 0.0, 2.0]]], "m[0][1]: expected an [re, im] pair of numbers"),
+        ([[[0.0, 0.0], ["1", 0.0]]], "m[0][1]: expected an [re, im] pair of numbers"),
+        ([[(0.0, 0.0)]], "m[0][0]: expected an [re, im] pair of numbers"),
+        ([[[0.0, 0.0]], [[0.0, float("nan")]]], "m[1][0]: expected a finite number, got nan"),
+        ([[[float("-inf"), 0.0]]], "m[0][0]: expected a finite number, got -inf"),
+    ],
+)
+def test_parse_complex_matrix_rejections(node, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_complex_matrix(node, "m")
+    assert str(err.value) == message
+
+
+def test_parse_complex_matrix_is_exact():
+    node = [[[1, -0.0], [0.1, 2**60 + 1]], [[-3, 1e-300], [5e-324, -7]]]
+    want = np.array([[complex(*cell) for cell in row] for row in node])
+    assert parse_complex_matrix(node, "m").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d["system_state"]["coherent"].update(polar=float("nan")), "system_state.coherent.polar"),
+        (lambda d: d["model"].update(theta=float("inf")), "model.theta"),
+        (lambda d: d.update(tolerance=float("nan")), "tolerance"),
+        (lambda d: d.update(tolerance=0.0), "tolerance"),
+        (lambda d: d.update(tolerance=-1e-9), "tolerance"),
+    ],
+)
+def test_non_finite_numbers_and_bad_tolerances_are_rejected(edit, path):
+    doc = fig1_doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.path == path
+
+
+def test_overflowing_literal_is_rejected():
+    text = json.dumps(fig1_doc()).replace('"from": 0.0', '"from": 1e999')
+    assert "1e999" in text
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "sweep.from: expected a finite number, got inf"
+
+
 def test_malformed_json_is_a_scenario_error():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("{not json", source="inline")

@@ -13,6 +13,7 @@ from symcond import (
     MeasurementModel,
     ObservableOp,
     PointerObservable,
+    ZeroProbabilityOutcome,
     blockwise_conditional_values,
     build_fig1_model,
     build_jc_model,
@@ -299,14 +300,21 @@ def test_blockwise_matches_direct_on_random_conserving_models():
             try:
                 before, after = blockwise_conditional_values(model, rho, obs, q, label)
             except Exception as exc:
-                from symcond import ZeroProbabilityOutcome
-
                 assert isinstance(exc, ZeroProbabilityOutcome)
                 continue
             direct_before = conditional_before(model, rho, obs, label)
             direct_after = conditional_after(model, rho, obs, label)
             assert abs(before - direct_before) < 1e-9
             assert abs(after - direct_after) < 1e-9
+
+
+def test_blockwise_nan_probability_raises_instead_of_nan_values():
+    setup = build_fig1_model()
+    varrho = setup.model.apparatus_state.matrix.copy()
+    varrho[1, 1] = np.nan
+    model = MeasurementModel(DensityState(varrho), setup.model.unitary, setup.model.pointer)
+    with pytest.raises(ZeroProbabilityOutcome, match="nan"):
+        blockwise_conditional_values(model, setup.system_state(0.0), setup.observable, setup.conserved, "+")
 
 
 def test_blockwise_rejects_noncommuting_observable():
