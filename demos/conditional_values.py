@@ -22,16 +22,17 @@ from symcond import (
     ObservableOp,
     average_after,
     average_before,
-    build_fig1_model,
     conditional_change,
+    fig1_scenario_path,
     induced_povm,
+    load_scenario,
     outcome_probability,
     weak_value,
 )
 
 
 def main() -> None:
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     model = setup.model
     obs = setup.observable  # diag(-1, +1) in the energy basis
 

@@ -22,10 +22,11 @@ import numpy as np
 
 from symcond import (
     ObservableOp,
-    build_fig1_model,
     check_conservation,
     check_yanase,
     decohere,
+    fig1_scenario_path,
+    load_scenario,
     verify_theorem1,
     verify_theorem2,
 )
@@ -45,7 +46,7 @@ def show(title: str, verdict) -> None:
 
 
 def main() -> None:
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     model, quantity = setup.model, setup.conserved
 
     print("conservation residual:", f"{check_conservation(model, quantity):.3e}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from symcond import build_fig1_model
+from symcond import fig1_scenario_path, load_scenario
 from symcond.cli import sweep_records
 
 
@@ -37,11 +37,8 @@ def ascii_plot(phis: np.ndarray, values: np.ndarray, width: int = 61, height: in
 
 
 def main() -> None:
-    setup = build_fig1_model()
-    grid = np.linspace(0.0, 2.0 * np.pi, 201)
-    records, errors = sweep_records(
-        setup.model, setup.observable, setup.conserved, setup.system_state, grid
-    )
+    scenario = load_scenario(fig1_scenario_path())  # 201 points over [0, 2pi]
+    records, errors = sweep_records(scenario, scenario.sweep.grid())
     assert not errors
 
     for outcome in ("+", "-"):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``run`` (full report for one scenario), ``sweep`` (phase
-sweep), ``fig1`` (the canonical qubit-qubit sweep to a CSV file),
+sweep), ``fig1`` (the sweep of the bundled canonical qubit-qubit scenario,
+written to a file),
 ``theorems`` (hypothesis/equality verdicts with assertion exit codes),
 ``selftest`` (seeded randomized property checks).
 
@@ -19,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import pi
 
 import numpy as np
@@ -33,7 +34,7 @@ from .engine import (
     induced_povm,
     outcome_averages,
 )
-from .jaynes_cummings import build_fig1_model, jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
+from .jaynes_cummings import jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
 from .linalg import frob, hermitian_eig, kron, unitary_from_generator
 from .objects import DensityState, ObservableOp, born_probability
 from .sampling import (
@@ -50,14 +51,12 @@ from .scenario import (
     Scenario,
     ScenarioError,
     SweepSpec,
+    fig1_scenario_path,
     load_scenario,
 )
 from .symmetry import (
-    ConservedQuantity,
     blockwise_conditional_values,
-    check_conservation,
     check_symmetric_product_state,
-    check_yanase,
     decohere,
     verify_theorem1,
     verify_theorem2,
@@ -90,28 +89,26 @@ class SweepRecord:
     difference: float
 
 
-def sweep_records(
-    model,
-    observable: ObservableOp,
-    conserved: ConservedQuantity,
-    state_at,
-    grid: np.ndarray,
-) -> tuple[list[SweepRecord], list[str]]:
-    """Evaluate the conditional-change contrast on a phase grid.
+def sweep_records(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecord], list[str]]:
+    """Evaluate the conditional-change contrast over a grid of system-state phases.
 
-    For each grid point the system state and its decohered counterpart
-    (pinched by the system part of the conserved quantity) are measured;
-    ``difference`` is delta_coherent − delta_decohered. Rows are ordered
-    by (grid index, outcome label). A zero-probability outcome at one
-    point is recorded as an error string and does not abort the sweep.
-    The model is compiled and L_S decomposed once for the whole grid.
+    For each grid point the scenario's system state at that phase and its
+    decohered counterpart (pinched by the system part of the conserved
+    quantity) are measured; ``difference`` is delta_coherent −
+    delta_decohered. Rows are ordered by (grid index, outcome label). A
+    zero-probability outcome at one point is recorded as an error string
+    and does not abort the sweep. The model is compiled and L_S decomposed
+    once for the whole grid.
     """
-    compiled = CompiledModel(model, observable)
-    spectral = hermitian_eig(conserved.system_part.matrix)
+    if scenario.conserved is None:
+        raise ScenarioError("conserved", "phase sweeps need a conserved quantity for the decohered branch")
+    model = scenario.model
+    compiled = CompiledModel(model, scenario.observable)
+    spectral = hermitian_eig(scenario.conserved.system_part.matrix)
     records: list[SweepRecord] = []
     errors: list[str] = []
     for phi in grid:
-        state = state_at(float(phi))
+        state = scenario.system_state(float(phi))
         values = compiled.evaluate(state)
         values_dec = compiled.evaluate(DensityState(decohere(state.matrix, spectral)))
         for outcome in sorted(model.outcomes):
@@ -134,15 +131,6 @@ def sweep_records(
     return records, errors
 
 
-def sweep_phase(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecord], list[str]]:
-    """Sweep a scenario's coherent system-state phase over a grid."""
-    if scenario.conserved is None:
-        raise ScenarioError("conserved", "phase sweeps need a conserved quantity for the decohered branch")
-    return sweep_records(
-        scenario.model, scenario.observable, scenario.conserved, scenario.system_state, grid
-    )
-
-
 def sweep_to_csv(records: list[SweepRecord], errors: list[str]) -> str:
     """Render sweep records as deterministic CSV with a gnuplot-style header."""
     buf = io.StringIO()
@@ -160,20 +148,7 @@ def sweep_to_csv(records: list[SweepRecord], errors: list[str]) -> str:
 
 
 def sweep_to_json(records: list[SweepRecord], errors: list[str]) -> str:
-    payload = {
-        "records": [
-            {
-                "phi": r.phi,
-                "outcome": r.outcome,
-                "probability": r.probability,
-                "delta_coherent": r.delta_coherent,
-                "delta_decohered": r.delta_decohered,
-                "difference": r.difference,
-            }
-            for r in records
-        ],
-        "errors": errors,
-    }
+    payload = {"records": [asdict(r) for r in records], "errors": errors}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -236,9 +211,10 @@ def run_report(scenario: Scenario, tol: float) -> dict:
     }
     if scenario.conserved is not None:
         q = scenario.conserved
+        theorem1 = verify_theorem1(model, state, observable, q, tol)
         checks = {
-            "conservation": check_conservation(model, q),
-            "yanase": check_yanase(model, q),
+            "conservation": theorem1.hypotheses["conservation"],
+            "yanase": theorem1.hypotheses["yanase"],
             "symmetric_product_state": check_symmetric_product_state(
                 state, model.apparatus_state, q
             ),
@@ -248,7 +224,7 @@ def run_report(scenario: Scenario, tol: float) -> dict:
             for name, residual in checks.items()
         }
         report["theorems"] = {
-            "theorem1": verdict_to_dict(verify_theorem1(model, state, observable, q, tol)),
+            "theorem1": verdict_to_dict(theorem1),
             "theorem2": verdict_to_dict(verify_theorem2(model, state, observable, q, tol)),
         }
     return report
@@ -280,12 +256,8 @@ def run_report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _effective_tol(args, scenario: Scenario | None = None) -> float:
-    if args.tol is not None:
-        return args.tol
-    if scenario is not None:
-        return scenario.tolerance
-    return 1e-9
+def _effective_tol(args, scenario: Scenario) -> float:
+    return args.tol if args.tol is not None else scenario.tolerance
 
 
 def cmd_run(args) -> int:
@@ -314,10 +286,7 @@ def cmd_sweep(args) -> int:
         raise ScenarioError(
             "sweep", f"scenario declares no sweep and {', '.join(missing)} not given"
         )
-    if steps < 2:
-        raise ScenarioError("sweep.steps", f"need at least 2 grid points, got {steps}")
-    grid = SweepSpec("phase", start, stop, steps).grid()
-    records, errors = sweep_phase(scenario, grid)
+    records, errors = sweep_records(scenario, SweepSpec(start, stop, steps).grid())
     if args.format == "json":
         sys.stdout.write(sweep_to_json(records, errors))
     else:
@@ -326,11 +295,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    setup = build_fig1_model()
-    grid = np.linspace(0.0, 2 * pi, 201)
-    records, errors = sweep_records(
-        setup.model, setup.observable, setup.conserved, setup.system_state, grid
-    )
+    scenario = load_scenario(fig1_scenario_path())
+    records, errors = sweep_records(scenario, scenario.sweep.grid())
     text = sweep_to_json(records, errors) if args.format == "json" else sweep_to_csv(records, errors)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -535,7 +501,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=_tolerance,
         default=None,
-        help="comparison tolerance (default: the scenario's, else 1e-9)",
+        help="comparison tolerance (default: the scenario's, 1e-9 if it declares none)",
     )
     parser.add_argument(
         "--format",
@@ -567,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("fig1", help="write the canonical 201-point qubit-qubit sweep")
+    p = sub.add_parser("fig1", help="write the sweep of the bundled qubit-qubit scenario")
     p.add_argument("--out", required=True, help="output file path")
     _add_common_flags(p)
     p.set_defaults(func=cmd_fig1)

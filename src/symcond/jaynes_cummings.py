@@ -5,16 +5,18 @@ excitation-exchange interaction Hamiltonian
 
     H_I = σ_S^+ ⊗ σ_A^- + σ_S^- ⊗ σ_A^+,
 
-its closed-form blocked unitary for a qubit system, and the canonical
-qubit-qubit phase-sweep configuration. The interaction conserves the total
-excitation number N_S ⊗ 1 + 1 ⊗ N_A, which makes this family the natural
-testbed for every symmetry result in the package.
+its closed-form blocked unitary for a qubit system, and Bloch-sphere
+qubit states. The interaction conserves the total excitation number
+N_S ⊗ 1 + 1 ⊗ N_A, which makes this family the natural testbed for every
+symmetry result in the package. The canonical qubit-qubit phase sweep is
+the bundled scenario file (``fig1_scenario_path()``), built from these
+pieces by :mod:`symcond.scenario`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt, pi
+from math import cos, sin, sqrt
 
 import numpy as np
 
@@ -183,33 +185,3 @@ def build_jc_model(
         apparatus_part=number_operator(spec.dim_a),
     )
     return model, quantity
-
-
-@dataclass
-class Fig1Setup:
-    """The canonical qubit-qubit phase-sweep configuration.
-
-    A θ = π/3 exchange interaction reads out a qubit through a qubit
-    apparatus prepared in cos(π/6)|1⟩ + sin(π/6)|0⟩, with pointer
-    Z_A = |1⟩⟨1| − |0⟩⟨0| (outcomes "+", "-") and system observable
-    O = |1⟩⟨1| − |0⟩⟨0|. The system state family over the sweep phase is
-    cos(π/8)|1⟩ + e^{iφ}sin(π/8)|0⟩.
-    """
-
-    model: MeasurementModel
-    observable: ObservableOp
-    conserved: ConservedQuantity
-    theta: float
-
-    def system_state(self, phi: float) -> DensityState:
-        return qubit_coherent_state(QubitCoherentState(polar=pi / 4, phase=phi))
-
-
-def build_fig1_model() -> Fig1Setup:
-    """Assemble the canonical qubit-qubit sweep configuration."""
-    pointer = number_pointer(2, partition=[("+", [1]), ("-", [0])], values=[1.0, -1.0])
-    spec = JCModelSpec(dim_s=2, dim_a=2, theta=pi / 3, pointer=pointer)
-    apparatus = qubit_coherent_state(QubitCoherentState(polar=pi / 3, phase=0.0))
-    model, quantity = build_jc_model(spec, apparatus)
-    observable = ObservableOp(np.diag([-1.0, 1.0]))
-    return Fig1Setup(model=model, observable=observable, conserved=quantity, theta=spec.theta)

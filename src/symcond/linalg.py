@@ -43,23 +43,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return frob(a - dagger(a)) <= tol
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    n = a.shape[0]
-    return a.shape[0] == a.shape[1] and frob(dagger(a) @ a - np.eye(n)) <= tol
-
-
-def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Hermitian with spectrum bounded below by ``-tol``."""
-    if not is_hermitian(a, max(tol, DEFAULT_TOL)):
-        return False
-    w = np.linalg.eigvalsh((a + dagger(a)) / 2)
-    return bool(w.min() >= -tol)
-
-
 def ensure_hermitian(a: np.ndarray, tol: float = SYMMETRIZE_TOL) -> np.ndarray:
     """Return the Hermitian part (a + a†)/2, rejecting large defects.
 
@@ -144,13 +127,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     projectors: list[np.ndarray] = field(default_factory=list)
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the decomposed matrix as Σ_l λ_l Q^l."""
-        out = np.zeros_like(self.projectors[0])
-        for lam, q in zip(self.eigenvalues, self.projectors):
-            out = out + lam * q
-        return out
 
 
 def hermitian_eig(h: np.ndarray, tol: float = SYMMETRIZE_TOL) -> SpectralDecomposition:

@@ -70,12 +70,22 @@ class InvariantViolation(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Phase-sweep grid: ``steps`` evenly spaced points over [start, stop]."""
+    """Phase-sweep grid: ``steps`` evenly spaced points over [start, stop].
 
-    parameter: str
+    Construction rejects non-finite ends and fewer than two points with a
+    :class:`ScenarioError` naming the ``sweep`` field.
+    """
+
     start: float
     stop: float
     steps: int
+
+    def __post_init__(self) -> None:
+        for key, value in (("from", self.start), ("to", self.stop)):
+            if not math.isfinite(value):
+                raise ScenarioError(f"sweep.{key}", f"expected a finite number, got {value}")
+        if self.steps < 2:
+            raise ScenarioError("sweep.steps", f"need at least 2 grid points, got {self.steps}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -331,9 +341,7 @@ def _parse_sweep(node, path: str) -> SweepSpec:
     start = _number(_require(node, "from", path), f"{path}.from")
     stop = _number(_require(node, "to", path), f"{path}.to")
     steps = _integer(_require(node, "steps", path), f"{path}.steps")
-    if steps < 2:
-        raise ScenarioError(f"{path}.steps", f"need at least 2 grid points, got {steps}")
-    return SweepSpec(parameter=parameter, start=start, stop=stop, steps=steps)
+    return SweepSpec(start=start, stop=stop, steps=steps)
 
 
 def _validate_or_raise(obj, name: str, tol: float) -> None:

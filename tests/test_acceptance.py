@@ -23,13 +23,14 @@ from symcond import (
     average_after,
     average_before,
     blockwise_conditional_values,
-    build_fig1_model,
     build_jc_model,
     conditional_after,
     conditional_before,
     decohere,
+    fig1_scenario_path,
     induced_povm,
     jc_unitary_closed_form,
+    load_scenario,
     verify_theorem1,
     verify_theorem2,
 )
@@ -97,12 +98,10 @@ def brute_force_curve(phis):
 
 
 def test_criterion_1_fig1_reproduction():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     grid = np.linspace(0.0, 2.0 * np.pi, 201)
     start = time.perf_counter()
-    records, errors = sweep_records(
-        setup.model, setup.observable, setup.conserved, setup.system_state, grid
-    )
+    records, errors = sweep_records(setup, grid)
     elapsed = time.perf_counter() - start
     assert errors == []
     assert len(records) == 402
@@ -215,7 +214,7 @@ def test_criterion_4_theorem1_suite():
     u_cons = random_conserving_unitary(q2, np.random.default_rng(0))
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
 
     cases = {
         "observable_commutes": (

@@ -223,6 +223,25 @@ def test_non_finite_scenario_number_is_parse_error(tmp_path, capsys):
     assert "tolerance: expected a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--from", "nan"], "sweep.from"), (["--to", "inf"], "sweep.to"), (["--steps", "1"], "sweep.steps")],
+)
+def test_sweep_grid_must_be_finite_with_two_points(flags, field, capsys):
+    assert main(["sweep", FIG1, *flags]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {field}: " in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fig1_is_the_bundled_scenario_sweep(fmt, tmp_path, capsys):
+    out = tmp_path / f"curve.{fmt}"
+    assert main(["fig1", "--out", str(out), "--format", fmt, "--quiet"]) == EXIT_OK
+    assert main(["sweep", FIG1, "--format", fmt]) == EXIT_OK
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
 def test_fig1_writes_canonical_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     rc = main(["fig1", "--out", str(out)])

@@ -16,12 +16,13 @@ from symcond import (
     apply_instrument,
     average_after,
     average_before,
-    build_fig1_model,
     conditional_after,
     conditional_before,
     conditional_change,
     dual_instrument,
+    fig1_scenario_path,
     induced_povm,
+    load_scenario,
     outcome_probability,
     weak_value,
 )
@@ -247,7 +248,7 @@ def test_conditional_change_identity_unitary_is_zero():
 def test_conditional_change_fig1_frozen_values():
     # Hand-checked reference point for the bundled qubit-qubit setup at
     # phase zero, where the interference terms vanish.
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
     rep = conditional_change(setup.model, rho, setup.observable, "+")
     assert rep.probability == pytest.approx(0.82766504294495524, abs=1e-12)

@@ -10,12 +10,13 @@ from symcond import (
     DensityState,
     JCModelSpec,
     QubitCoherentState,
-    build_fig1_model,
     build_jc_model,
     check_conservation,
     check_yanase,
+    fig1_scenario_path,
     jc_hamiltonian,
     jc_unitary_closed_form,
+    load_scenario,
     qubit_coherent_state,
     validate,
 )
@@ -183,8 +184,8 @@ def test_build_jc_model_spectral_route_for_larger_system():
     assert check_conservation(model, quantity) < 1e-10
 
 
-def test_build_fig1_model_invariants():
-    setup = build_fig1_model()
+def test_fig1_scenario_invariants():
+    setup = load_scenario(fig1_scenario_path())
     assert setup.model.dim_s == 2
     assert setup.model.dim_a == 2
     assert setup.model.outcomes == ("+", "-")

@@ -13,8 +13,9 @@ from symcond import (
     ObservableOp,
     PointerObservable,
     born_probability,
-    build_fig1_model,
+    fig1_scenario_path,
     induced_povm,
+    load_scenario,
     validate,
 )
 
@@ -104,7 +105,7 @@ def test_validate_model_flags_non_unitary():
 
 
 def test_validate_fig1_model_is_clean():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     assert validate(setup.model) is None
     assert validate(setup.observable) is None
     assert validate(setup.system_state(0.7)) is None
@@ -188,7 +189,7 @@ def test_induced_povm_identity_unitary_ignores_system():
 def test_induced_povm_fig1_values():
     # theta = pi/3 and a polar-angle pi/3 apparatus qubit give effects with
     # rational entries: diag(3/16, 15/16) plus a +-3i/16 off-diagonal pair.
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     effects = induced_povm(setup.model)
     want_plus = np.array([[3.0 / 16.0, -3j / 16.0], [3j / 16.0, 15.0 / 16.0]])
     assert_allclose(effects.effect("+"), want_plus, atol=1e-12)

@@ -15,7 +15,6 @@ from symcond import (
     PointerObservable,
     ZeroProbabilityOutcome,
     blockwise_conditional_values,
-    build_fig1_model,
     build_jc_model,
     check_conservation,
     check_cross_elements_imaginary,
@@ -24,6 +23,8 @@ from symcond import (
     conditional_after,
     conditional_before,
     decohere,
+    fig1_scenario_path,
+    load_scenario,
     verify_theorem1,
     verify_theorem2,
 )
@@ -164,7 +165,7 @@ def test_check_yanase_label_only_pointer():
 
 
 def test_check_symmetric_product_state_fig1_residuals():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     xi = setup.model.apparatus_state
     q = setup.conserved
     assert check_symmetric_product_state(setup.system_state(0.0), xi, q) < 1e-12
@@ -237,7 +238,7 @@ def test_verify_theorem1_random_conserving_instances():
 
 
 def test_verify_theorem1_flags_noncommuting_observable():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     rho = real_qubit_state(np.pi / 4)
     v = verify_theorem1(setup.model, rho, ObservableOp(SIGMA_X), setup.conserved)
     assert v.hypotheses["observable_commutes"] > 1e-3
@@ -250,7 +251,7 @@ def test_verify_theorem1_flags_noncommuting_observable():
 def test_verify_theorem1_state_coherence_breaks_first_branch():
     # Coherent system state at phase pi/2: the state hypothesis fails and
     # the model-vs-decohered-model equalities really do break.
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(np.pi / 2)
     v = verify_theorem1(setup.model, rho, setup.observable, setup.conserved)
     assert v.hypotheses["state_commutes"] > 0.1
@@ -263,7 +264,7 @@ def test_verify_theorem1_state_coherence_breaks_first_branch():
 
 
 def test_verify_theorem2_fig1_symmetric_phases():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     for phi in (0.0, np.pi):
         v = verify_theorem2(setup.model, setup.system_state(phi), setup.observable, setup.conserved)
         assert v.all_hypotheses_hold
@@ -271,7 +272,7 @@ def test_verify_theorem2_fig1_symmetric_phases():
 
 
 def test_verify_theorem2_asymmetric_phase_breaks_chain():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     v = verify_theorem2(
         setup.model, setup.system_state(0.4 * np.pi), setup.observable, setup.conserved
     )
@@ -281,7 +282,7 @@ def test_verify_theorem2_asymmetric_phase_breaks_chain():
 
 
 def test_blockwise_matches_direct_on_fig1():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
     before, after = blockwise_conditional_values(
         setup.model, rho, setup.observable, setup.conserved, "+"
@@ -309,7 +310,7 @@ def test_blockwise_matches_direct_on_random_conserving_models():
 
 
 def test_blockwise_nan_probability_raises_instead_of_nan_values():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     varrho = setup.model.apparatus_state.matrix.copy()
     varrho[1, 1] = np.nan
     model = MeasurementModel(DensityState(varrho), setup.model.unitary, setup.model.pointer)
@@ -318,7 +319,7 @@ def test_blockwise_nan_probability_raises_instead_of_nan_values():
 
 
 def test_blockwise_rejects_noncommuting_observable():
-    setup = build_fig1_model()
+    setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
     with pytest.raises(ValueError, match="precondition"):
         blockwise_conditional_values(setup.model, rho, ObservableOp(SIGMA_X), setup.conserved, "+")
