@@ -59,7 +59,7 @@ from .symmetry import (
     check_symmetric_product_state,
     decohere,
     verify_theorem1,
-    verify_theorem2,
+    verify_theorems,
 )
 
 EXIT_OK = 0
@@ -211,7 +211,8 @@ def run_report(scenario: Scenario, tol: float) -> dict:
     }
     if scenario.conserved is not None:
         q = scenario.conserved
-        theorem1 = verify_theorem1(model, state, observable, q, tol)
+        verdicts = verify_theorems(model, state, observable, q, tol)
+        theorem1 = verdicts["theorem1"]
         checks = {
             "conservation": theorem1.hypotheses["conservation"],
             "yanase": theorem1.hypotheses["yanase"],
@@ -223,10 +224,7 @@ def run_report(scenario: Scenario, tol: float) -> dict:
             name: {"residual": residual, "tolerance": tol, "held": residual < tol}
             for name, residual in checks.items()
         }
-        report["theorems"] = {
-            "theorem1": verdict_to_dict(theorem1),
-            "theorem2": verdict_to_dict(verify_theorem2(model, state, observable, q, tol)),
-        }
+        report["theorems"] = {name: verdict_to_dict(v) for name, v in verdicts.items()}
     return report
 
 
@@ -311,14 +309,7 @@ def cmd_theorems(args) -> int:
         raise ScenarioError("conserved", "theorem checks need a conserved quantity")
     tol = _effective_tol(args, scenario)
     state = scenario.system_state()
-    verdicts = {
-        "theorem1": verify_theorem1(
-            scenario.model, state, scenario.observable, scenario.conserved, tol
-        ),
-        "theorem2": verify_theorem2(
-            scenario.model, state, scenario.observable, scenario.conserved, tol
-        ),
-    }
+    verdicts = verify_theorems(scenario.model, state, scenario.observable, scenario.conserved, tol)
     if args.format == "json":
         payload = {name: verdict_to_dict(v) for name, v in verdicts.items()}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -59,8 +59,13 @@ def ensure_hermitian(a: np.ndarray, tol: float = SYMMETRIZE_TOL) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (system factor first)."""
-    return np.kron(a, b)
+    """Kronecker product of two matrices (system factor first).
+
+    The same elementwise products as ``np.kron``, so bit-identical to it,
+    formed by one broadcast multiply without its general-rank overhead.
+    """
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(x: np.ndarray, dim_s: int, dim_a: int, over: str) -> np.ndarray:

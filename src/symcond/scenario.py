@@ -41,6 +41,10 @@ from .objects import (
 from .symmetry import ConservedQuantity
 
 DEFAULT_TOLERANCE = 1e-9
+# Largest Jaynes-Cummings product dimension dim_s·dim_a a scenario may ask
+# for; checked before any array is built, since a tiny file could
+# otherwise request a matrix of many gigabytes.
+MAX_JC_DIMENSION = 2048
 
 NAMED_OBSERVABLES = {
     # Number-basis convention: the excited state |1⟩ carries eigenvalue +1.
@@ -272,6 +276,11 @@ def _parse_model(node, path: str) -> tuple[MeasurementModel, ConservedQuantity |
     if kind == "jaynes-cummings":
         dim_s = _integer(_require(node, "dim_s", path), f"{path}.dim_s")
         dim_a = _integer(_require(node, "dim_a", path), f"{path}.dim_a")
+        if dim_s * dim_a > MAX_JC_DIMENSION:
+            raise ScenarioError(
+                f"{path}.dim_a",
+                f"dim_s·dim_a = {dim_s * dim_a} exceeds the limit of {MAX_JC_DIMENSION}",
+            )
         theta = _number(_require(node, "theta", path), f"{path}.theta")
         if app_coherent is not None:
             if dim_a != 2:

@@ -229,6 +229,88 @@ def _pair_residuals(pairs: list[tuple[CompiledModel, DensityState]]) -> tuple[fl
     return res_before, res_after
 
 
+@dataclass
+class _TheoremInputs:
+    """What both verifiers share, each measured or built once."""
+
+    hypotheses: dict[str, float]  # conservation, yanase, observable_commutes
+    model2: MeasurementModel  # the decohered-apparatus companion model
+    compiled: CompiledModel
+    compiled2: CompiledModel
+    state_dec: DensityState
+
+
+def _theorem_inputs(
+    model: MeasurementModel,
+    state: DensityState,
+    observable: ObservableOp,
+    quantity: ConservedQuantity,
+) -> _TheoremInputs:
+    model2 = _decohered_model(model, quantity)
+    return _TheoremInputs(
+        hypotheses={
+            "conservation": check_conservation(model, quantity),
+            "yanase": check_yanase(model, quantity),
+            "observable_commutes": frob(commutator(observable.matrix, quantity.system_part.matrix)),
+        },
+        model2=model2,
+        compiled=CompiledModel(model, observable),
+        compiled2=CompiledModel(model2, observable),
+        state_dec=DensityState(decohere(state.matrix, quantity.system_part)),
+    )
+
+
+def _theorem1(
+    shared: _TheoremInputs, state: DensityState, quantity: ConservedQuantity, tol: float
+) -> TheoremVerdict:
+    hypotheses = {
+        **shared.hypotheses,
+        "state_commutes": frob(commutator(state.matrix, quantity.system_part.matrix)),
+    }
+    compiled, compiled2 = shared.compiled, shared.compiled2
+    sys_before, sys_after = _pair_residuals([(compiled, state), (compiled2, state)])
+    anc_before, anc_after = _pair_residuals([(compiled2, state), (compiled2, shared.state_dec)])
+    equalities = {
+        "system_commutes_before": sys_before,
+        "system_commutes_after": sys_after,
+        "ancilla_commutes_before": anc_before,
+        "ancilla_commutes_after": anc_after,
+    }
+    base = ("conservation", "yanase", "observable_commutes")
+    requires = {
+        "system_commutes_before": base + ("state_commutes",),
+        "system_commutes_after": base + ("state_commutes",),
+        "ancilla_commutes_before": base,
+        "ancilla_commutes_after": base,
+    }
+    return TheoremVerdict(hypotheses, equalities, tol, requires)
+
+
+def _theorem2(
+    shared: _TheoremInputs,
+    model: MeasurementModel,
+    state: DensityState,
+    observable: ObservableOp,
+    quantity: ConservedQuantity,
+    tol: float,
+) -> TheoremVerdict:
+    hypotheses = {
+        **shared.hypotheses,
+        "symmetric_state": max(
+            check_symmetric_product_state(state, model.apparatus_state, quantity),
+            check_symmetric_product_state(state, shared.model2.apparatus_state, quantity),
+        ),
+        "cross_elements": check_cross_elements_imaginary(model, observable, quantity),
+    }
+    compiled, compiled2, state_dec = shared.compiled, shared.compiled2, shared.state_dec
+    chain = [(compiled, state), (compiled2, state), (compiled, state_dec), (compiled2, state_dec)]
+    before_chain, after_chain = _pair_residuals(chain)
+    equalities = {"before_chain": before_chain, "after_chain": after_chain}
+    all_hyp = tuple(hypotheses)
+    requires = {"before_chain": all_hyp, "after_chain": all_hyp}
+    return TheoremVerdict(hypotheses, equalities, tol, requires)
+
+
 def verify_theorem1(
     model: MeasurementModel,
     state: DensityState,
@@ -255,33 +337,7 @@ def verify_theorem1(
             model, values agree between ρ and Φ_{L_S}(ρ) (claimed without
             ``state_commutes``).
     """
-    ls = quantity.system_part.matrix
-    hypotheses = {
-        "conservation": check_conservation(model, quantity),
-        "yanase": check_yanase(model, quantity),
-        "observable_commutes": frob(commutator(observable.matrix, ls)),
-        "state_commutes": frob(commutator(state.matrix, ls)),
-    }
-    compiled = CompiledModel(model, observable)
-    compiled2 = CompiledModel(_decohered_model(model, quantity), observable)
-    state_dec = DensityState(decohere(state.matrix, quantity.system_part))
-
-    sys_before, sys_after = _pair_residuals([(compiled, state), (compiled2, state)])
-    anc_before, anc_after = _pair_residuals([(compiled2, state), (compiled2, state_dec)])
-    equalities = {
-        "system_commutes_before": sys_before,
-        "system_commutes_after": sys_after,
-        "ancilla_commutes_before": anc_before,
-        "ancilla_commutes_after": anc_after,
-    }
-    base = ("conservation", "yanase", "observable_commutes")
-    requires = {
-        "system_commutes_before": base + ("state_commutes",),
-        "system_commutes_after": base + ("state_commutes",),
-        "ancilla_commutes_before": base,
-        "ancilla_commutes_after": base,
-    }
-    return TheoremVerdict(hypotheses, equalities, tol, requires)
+    return _theorem1(_theorem_inputs(model, state, observable, quantity), state, quantity, tol)
 
 
 def verify_theorem2(
@@ -306,26 +362,26 @@ def verify_theorem2(
         ``before_chain``/``after_chain``: the max spread of the four
         values over {ρ, Φ_{L_S}(ρ)} × {original, decohered apparatus}.
     """
-    model2 = _decohered_model(model, quantity)
-    state_dec = DensityState(decohere(state.matrix, quantity.system_part))
-    hypotheses = {
-        "conservation": check_conservation(model, quantity),
-        "yanase": check_yanase(model, quantity),
-        "observable_commutes": frob(commutator(observable.matrix, quantity.system_part.matrix)),
-        "symmetric_state": max(
-            check_symmetric_product_state(state, model.apparatus_state, quantity),
-            check_symmetric_product_state(state, model2.apparatus_state, quantity),
-        ),
-        "cross_elements": check_cross_elements_imaginary(model, observable, quantity),
+    shared = _theorem_inputs(model, state, observable, quantity)
+    return _theorem2(shared, model, state, observable, quantity, tol)
+
+
+def verify_theorems(
+    model: MeasurementModel,
+    state: DensityState,
+    observable: ObservableOp,
+    quantity: ConservedQuantity,
+    tol: float = 1e-9,
+) -> dict[str, TheoremVerdict]:
+    """``{"theorem1": verify_theorem1(...), "theorem2": verify_theorem2(...)}``
+    with the same results, measuring the shared hypotheses, compiling the
+    original and decohered-apparatus models and decohering the state once
+    for both."""
+    shared = _theorem_inputs(model, state, observable, quantity)
+    return {
+        "theorem1": _theorem1(shared, state, quantity, tol),
+        "theorem2": _theorem2(shared, model, state, observable, quantity, tol),
     }
-    compiled = CompiledModel(model, observable)
-    compiled2 = CompiledModel(model2, observable)
-    chain = [(compiled, state), (compiled2, state), (compiled, state_dec), (compiled2, state_dec)]
-    before_chain, after_chain = _pair_residuals(chain)
-    equalities = {"before_chain": before_chain, "after_chain": after_chain}
-    all_hyp = tuple(hypotheses)
-    requires = {"before_chain": all_hyp, "after_chain": all_hyp}
-    return TheoremVerdict(hypotheses, equalities, tol, requires)
 
 
 def blockwise_conditional_values(

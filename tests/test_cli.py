@@ -223,6 +223,48 @@ def test_non_finite_scenario_number_is_parse_error(tmp_path, capsys):
     assert "tolerance: expected a finite number" in err
 
 
+def test_jaynes_cummings_size_is_bounded_before_building(tmp_path, capsys):
+    # 2**40 levels could never be allocated; the bound must reject the
+    # document by its field before any array of that size is asked for.
+    doc = fig1_doc()
+    doc["model"]["dim_a"] = 2**40
+    assert main(["run", write_doc(tmp_path, doc)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: model.dim_a: " in captured.err
+    assert "2048" in captured.err
+
+
+@pytest.mark.parametrize("command, max_compiles", [(["run", FIG1], 3), (["theorems", FIG1], 2)])
+def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, capsys):
+    import symcond.cli
+    import symcond.symmetry
+
+    counts = {"compile": 0, "conservation": 0, "yanase": 0}
+
+    class CountingModel(symcond.symmetry.CompiledModel):
+        def __init__(self, *args):
+            counts["compile"] += 1
+            super().__init__(*args)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(symcond.cli, "CompiledModel", CountingModel)
+    monkeypatch.setattr(symcond.symmetry, "CompiledModel", CountingModel)
+    monkeypatch.setattr(symcond.symmetry, "check_conservation", counting("conservation", symcond.symmetry.check_conservation))
+    monkeypatch.setattr(symcond.symmetry, "check_yanase", counting("yanase", symcond.symmetry.check_yanase))
+    main(command)
+    capsys.readouterr()
+    assert counts["compile"] <= max_compiles
+    assert counts["conservation"] == 1
+    assert counts["yanase"] == 1
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [(["--from", "nan"], "sweep.from"), (["--to", "inf"], "sweep.to"), (["--steps", "1"], "sweep.steps")],

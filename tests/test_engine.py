@@ -26,7 +26,7 @@ from symcond import (
     outcome_probability,
     weak_value,
 )
-from symcond.sampling import random_density, random_model, random_observable
+from symcond.sampling import random_density, random_model, random_observable, random_unitary
 
 
 def number_pointer_2() -> PointerObservable:
@@ -233,6 +233,34 @@ def test_compiled_model_matches_instrument_oracle(dim_s, dim_a):
             assert abs(rep.before - want_wv.real) < 1e-12
             assert abs(rep.after - np.trace(obs.matrix @ out).real / p) < 1e-12
             assert rep.delta == rep.after - rep.before
+
+
+@pytest.mark.parametrize("dim_s", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim_a", [1, 2, 3, 5])
+def test_compiled_model_matches_dual_instrument(dim_s, dim_a):
+    # The compiled stacks M(x), M(x)·O and K(x) against the per-outcome
+    # Heisenberg sandwich, for a non-Hermitian observable and apparatus
+    # state and pointer projectors that are not diagonal in the product
+    # basis, so no symmetry of the inputs can hide an index mistake.
+    rng = np.random.default_rng(500 + 10 * dim_s + dim_a)
+    n = dim_s * dim_a
+
+    def gaussian(dim):
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    w = random_unitary(dim_a, rng)
+    levels = np.array_split(np.arange(dim_a), min(dim_a, 3))
+    projectors = tuple(w[:, block] @ w[:, block].conj().T for block in levels)
+    pointer = PointerObservable(tuple(f"x{i}" for i in range(len(levels))), projectors)
+    model = MeasurementModel(DensityState(gaussian(dim_a) / dim_a), random_unitary(n, rng), pointer)
+    obs = ObservableOp(gaussian(dim_s))
+    eye_s = np.eye(dim_s)
+    m = np.stack([dual_instrument(model, eye_s, x) for x in model.outcomes])
+    k = np.stack([dual_instrument(model, obs.matrix, x) for x in model.outcomes])
+    want = np.concatenate([m, m @ obs.matrix, k])
+    got = CompiledModel(model, obs)._operators
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_conditional_change_identity_unitary_is_zero():

@@ -43,6 +43,23 @@ def test_kron_matches_index_formula():
     assert_allclose(got, want)
 
 
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((2, 2), (2, 2)), ((4, 4), (16, 16)), ((2, 3), (4, 1)), ((1, 1), (3, 5)), ((3, 2), (1, 1))]
+)
+@pytest.mark.parametrize("complex_a, complex_b", [(False, False), (True, False), (False, True), (True, True)])
+def test_kron_equals_numpy_kron_exactly(shape_a, shape_b, complex_a, complex_b):
+    rng = np.random.default_rng(7)
+
+    def draw(shape, is_complex):
+        m = rng.normal(size=shape)
+        return m + 1j * rng.normal(size=shape) if is_complex else m
+
+    a, b = draw(shape_a, complex_a), draw(shape_b, complex_b)
+    got, want = kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_kron_associativity_and_trace():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

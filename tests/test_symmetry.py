@@ -27,6 +27,7 @@ from symcond import (
     load_scenario,
     verify_theorem1,
     verify_theorem2,
+    verify_theorems,
 )
 from symcond.jaynes_cummings import number_operator, number_pointer
 from symcond.linalg import frob, kron
@@ -279,6 +280,24 @@ def test_verify_theorem2_asymmetric_phase_breaks_chain():
     assert v.hypotheses["symmetric_state"] > 0.1
     assert max(v.equalities.values()) > 1e-3
     assert v.claimed_equalities_hold  # nothing is claimed when a hypothesis fails
+
+
+def test_verify_theorems_equals_the_single_verifiers():
+    # Sharing the hypotheses, compiles and decohered state must not move a
+    # bit: each verdict equals the one its own verifier returns.
+    rng = np.random.default_rng(35)
+    setup = load_scenario(fig1_scenario_path())
+    cases = [(setup.model, setup.system_state(0.4), setup.observable, setup.conserved)]
+    for _ in range(3):
+        model, q = random_number_conserving_model(2, 3, rng)
+        cases.append((model, random_density(2, rng), random_diagonal_observable(2, rng), q))
+    for model, rho, obs, q in cases:
+        verdicts = verify_theorems(model, rho, obs, q, 1e-9)
+        assert list(verdicts) == ["theorem1", "theorem2"]
+        assert verdicts["theorem1"] == verify_theorem1(model, rho, obs, q, 1e-9)
+        assert verdicts["theorem2"] == verify_theorem2(model, rho, obs, q, 1e-9)
+        assert list(verdicts["theorem1"].hypotheses) == list(verify_theorem1(model, rho, obs, q).hypotheses)
+        assert list(verdicts["theorem2"].hypotheses) == list(verify_theorem2(model, rho, obs, q).hypotheses)
 
 
 def test_blockwise_matches_direct_on_fig1():
