@@ -56,7 +56,6 @@ from .scenario import (
 )
 from .symmetry import (
     blockwise_conditional_values,
-    check_symmetric_product_state,
     decohere,
     verify_theorem1,
     verify_theorems,
@@ -149,7 +148,7 @@ def sweep_to_csv(records: list[SweepRecord], errors: list[str]) -> str:
 
 def sweep_to_json(records: list[SweepRecord], errors: list[str]) -> str:
     payload = {"records": [asdict(r) for r in records], "errors": errors}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def verdict_to_dict(verdict) -> dict:
@@ -210,15 +209,12 @@ def run_report(scenario: Scenario, tol: float) -> dict:
         "averages": {"before": average_before, "after": average_after},
     }
     if scenario.conserved is not None:
-        q = scenario.conserved
-        verdicts = verify_theorems(model, state, observable, q, tol)
+        verdicts = verify_theorems(model, state, observable, scenario.conserved, tol)
         theorem1 = verdicts["theorem1"]
         checks = {
             "conservation": theorem1.hypotheses["conservation"],
             "yanase": theorem1.hypotheses["yanase"],
-            "symmetric_product_state": check_symmetric_product_state(
-                state, model.apparatus_state, q
-            ),
+            "symmetric_product_state": verdicts["theorem2"].terms["symmetric_state"][0],
         }
         report["checks"] = {
             name: {"residual": residual, "tolerance": tol, "held": residual < tol}
@@ -265,7 +261,7 @@ def cmd_run(args) -> int:
     if args.format == "csv":
         sys.stdout.write(run_report_csv(report))
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -312,7 +308,7 @@ def cmd_theorems(args) -> int:
     verdicts = verify_theorems(scenario.model, state, scenario.observable, scenario.conserved, tol)
     if args.format == "json":
         payload = {name: verdict_to_dict(v) for name, v in verdicts.items()}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif not args.quiet:
         for name, verdict in verdicts.items():
             for hyp, residual in verdict.hypotheses.items():

@@ -32,6 +32,19 @@ G[(r,d),(t,a)], one n×n product each, and then every outcome at once as
 Σ_cd P^x_cd T_W[c, s, d, t]. A compile costs about 2n³ + n²·d_a for
 n = d_s·d_a, instead of 4|X|·n³ for the sandwiches.
 
+A diagonal pointer (every P^x = Σ_c w_xc |c⟩⟨c| in the apparatus basis,
+as any pointer compatible with a non-degenerate L_A = N_A is) needs only
+the level-diagonal blocks c = d. For each level c,
+
+    Q_c[(r', s), (r, t)] = Σ_a conj(U[(r',c),(s,a)]) G[(r,c),(t,a)],
+
+one batched (d_a, d_s², d_a)·(d_a, d_a, d_s²) product, then
+T^a_c[s, t] = Σ_{r',r} a[r', r] Q_c[(r', s), (r, t)] for every operator a
+from one product against the stacked operators, and the branch operator
+of outcome x is the level sum Σ_c w_xc T^a_c, one (|X| × d_a) product.
+Neither a nor w is assumed Hermitian, real or 0/1. This costs about
+n²·d_a + n²·d_s² instead of 2n³ + n²·d_a.
+
 :func:`dual_instrument` (the Heisenberg sandwich, one outcome at a time)
 and :func:`apply_instrument` (the Schrödinger-picture instrument) are the
 documented formulas and the independent checks of this route; no
@@ -111,13 +124,25 @@ def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...])
 
     Returns the (len(operators), |X|, d_s, d_s) stack whose [k, i] entry
     equals ``dual_instrument(model, operators[k], model.outcomes[i])``,
-    built by the shared contraction of G = U(1 ⊗ ϱ) with (a† ⊗ 1)U given in
-    the module docstring, never forming U†(a ⊗ P^x)U.
+    built by the shared contraction of G = U(1 ⊗ ϱ) given in the module
+    docstring, never forming U†(a ⊗ P^x)U. A diagonal pointer
+    (``model.pointer.diagonals`` is not None) takes the level-sum route,
+    about n²·d_a + n²·d_s² work; any other pointer takes the dense route,
+    about 2n³ + n²·d_a.
     """
     ds, da = model.dim_s, model.dim_a
     n = ds * da
     u = model.unitary
     g = (u.reshape(n * ds, da) @ model.apparatus_state.matrix).reshape(ds, da, ds, da)
+    weights = model.pointer.diagonals
+    if weights is not None:
+        left = u.reshape(ds, da, ds, da).conj().transpose(1, 0, 2, 3).reshape(da, ds * ds, da)
+        right = g.transpose(1, 3, 0, 2).reshape(da, da, ds * ds)  # [c, a, (r', t)]
+        q = (left @ right).reshape(da, ds, ds, ds, ds)  # [c, r, s, r', t]
+        q = q.transpose(0, 2, 4, 1, 3).reshape(da * ds * ds, ds * ds)  # [(c, s, t), (r, r')]
+        flat = np.stack(operators).reshape(len(operators), ds * ds).T  # [(r, r'), k]
+        t = (q @ flat).reshape(da, ds * ds * len(operators))  # T^a_c[s, t]
+        return (weights @ t).reshape(-1, ds, ds, len(operators)).transpose(3, 0, 1, 2)
     right = g.transpose(0, 3, 1, 2).reshape(n, n)  # [(r, a), (d, t)]
     projectors = np.stack(model.pointer.projectors).reshape(-1, da * da).T  # [(c, d), x]
     stacks = []
@@ -177,8 +202,9 @@ class CompiledModel:
 
     Built once per (model, observable): for every outcome x it stacks M(x),
     M(x)·O and K(x), the d_s×d_s images of :func:`dual_instrument`, with
-    one :func:`branch_operators` call (about 2n³ + n²·d_a work, whatever
-    the number of outcomes).
+    one :func:`branch_operators` call (about 2n³ + n²·d_a work, or
+    n²·d_a + n²·d_s² for a diagonal pointer, whatever the number of
+    outcomes).
     :meth:`evaluate` then costs one stacked d_s×d_s product per state,
     whatever the apparatus dimension.
     """

@@ -10,6 +10,7 @@ into clean exit codes, and lets tests build deliberately broken objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class PointerObservable:
     eigenvalue to each outcome; it is only needed where the pointer enters a
     formula as an operator (e.g. commutator checks), in which case
     :meth:`as_operator` assembles Σ_x x·P^x.
+
+    A pointer is *diagonal* when every projector is diagonal in the
+    apparatus basis, P^x = Σ_c w_xc |c⟩⟨c|; :attr:`diagonals` then holds the
+    weights w. A pointer compatible with a non-degenerate L_A = N_A is
+    always diagonal, since [P^x, L_A] = 0 forces it. For such pointers the
+    compile, the validation and the cross-element check sum over each
+    outcome's levels instead of multiplying d_a×d_a projectors.
     """
 
     outcomes: tuple[str, ...]
@@ -88,6 +96,20 @@ class PointerObservable:
     @property
     def dim(self) -> int:
         return self.projectors[0].shape[0]
+
+    @cached_property
+    def diagonals(self) -> np.ndarray | None:
+        """The (|X|, d_a) table whose row x is the diagonal of P^x, or None
+        when some projector has a nonzero (or NaN) off-diagonal entry.
+
+        Computed once per pointer. The weights are taken as they are: they
+        need not be real or 0/1, so an invalid diagonal pointer still gets
+        a table, and :func:`validate` reads its defects from it.
+        """
+        table = np.array([p.diagonal() for p in self.projectors])
+        if sum(map(np.count_nonzero, self.projectors)) != np.count_nonzero(table):
+            return None
+        return table
 
     def projector(self, outcome: str) -> np.ndarray:
         try:
@@ -183,22 +205,54 @@ class Violation:
 def _check_projector_family(
     pointer: PointerObservable, tol: float
 ) -> Violation | None:
+    table = pointer.diagonals
+    if table is not None:
+        return _check_level_family(table, tol)
     eye = np.eye(pointer.dim)
     for p in pointer.projectors:
         r = frob(p - dagger(p))
-        if r > tol:
+        if not r <= tol:
             return Violation("hermiticity", r)
     for p in pointer.projectors:
         r = frob(p @ p - p)
-        if r > tol:
+        if not r <= tol:
             return Violation("idempotence", r)
     for i, p in enumerate(pointer.projectors):
         for q in pointer.projectors[i + 1 :]:
             r = frob(p @ q)
-            if r > tol:
+            if not r <= tol:
                 return Violation("orthogonality", r)
     r = frob(sum(pointer.projectors) - eye)
-    if r > tol:
+    if not r <= tol:
+        return Violation("completeness", r)
+    return None
+
+
+def _check_level_family(table: np.ndarray, tol: float) -> Violation | None:
+    """The checks of :func:`_check_projector_family` for diagonal projectors,
+    read from their (|X|, d) diagonal table.
+
+    For diagonal P and Q, ‖P − P†‖, ‖P² − P‖ and ‖Σ_x P^x − 1‖ are norms of
+    the diagonals, and ‖PQ‖² = Σ_k |p_k|²|q_k|², so one Gram product of
+    squared magnitudes gives every pair; none of these sums cancels. The
+    first violation is the one the pairwise loop would report: invariants
+    in the same order, outcomes in index order, pairs (i, j > i) row-major.
+    """
+    diffs = np.concatenate((table - table.conj(), table * table - table))
+    residuals = np.sqrt((diffs.real * diffs.real + diffs.imag * diffs.imag).sum(axis=1))
+    failed = (~(residuals <= tol)).nonzero()[0]
+    if failed.size:
+        k = failed[0]
+        return Violation(("hermiticity", "idempotence")[k // len(table)], float(residuals[k]))
+    squares = table.real * table.real + table.imag * table.imag
+    overlaps = np.sqrt(squares @ squares.T)
+    rows, cols = (~(overlaps <= tol)).nonzero()
+    pairs = (rows < cols).nonzero()[0]
+    if pairs.size:
+        k = pairs[0]
+        return Violation("orthogonality", float(overlaps[rows[k], cols[k]]))
+    r = frob(table.sum(axis=0) - 1.0)
+    if not r <= tol:
         return Violation("completeness", r)
     return None
 
@@ -208,23 +262,25 @@ def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
 
     PSD checks use the dedicated ``PSD_TOL`` clamp threshold rather than
     ``tol``, matching how negative round-off eigenvalues are treated
-    everywhere else in the package.
+    everywhere else in the package. Every test is written so that a NaN
+    residual fails it: an overflowed or NaN entry is a violation, never a
+    pass.
     """
     if isinstance(obj, DensityState):
         m = obj.matrix
         r = frob(m - dagger(m))
-        if r > tol:
+        if not r <= tol:
             return Violation("hermiticity", r)
         wmin = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
-        if wmin < -PSD_TOL:
+        if not wmin >= -PSD_TOL:
             return Violation("psd", -wmin)
         r = abs(float(np.trace(m).real) - 1.0)
-        if r > tol:
+        if not r <= tol:
             return Violation("trace", r)
         return None
     if isinstance(obj, ObservableOp):
         r = frob(obj.matrix - dagger(obj.matrix))
-        if r > tol:
+        if not r <= tol:
             return Violation("hermiticity", r)
         return None
     if isinstance(obj, PointerObservable):
@@ -232,14 +288,14 @@ def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
     if isinstance(obj, EffectSet):
         for m in obj.effects:
             r = frob(m - dagger(m))
-            if r > tol:
+            if not r <= tol:
                 return Violation("hermiticity", r)
         for m in obj.effects:
             wmin = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
-            if wmin < -PSD_TOL:
+            if not wmin >= -PSD_TOL:
                 return Violation("psd", -wmin)
         r = frob(sum(obj.effects) - np.eye(obj.dim))
-        if r > tol:
+        if not r <= tol:
             return Violation("completeness", r)
         return None
     if isinstance(obj, MeasurementModel):
@@ -248,7 +304,7 @@ def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
             return Violation(f"apparatus_state.{inner.invariant}", inner.residual)
         n = obj.unitary.shape[0]
         r = frob(dagger(obj.unitary) @ obj.unitary - np.eye(n))
-        if r > tol:
+        if not r <= tol:
             return Violation("unitarity", r)
         inner = validate(obj.pointer, tol)
         if inner is not None:

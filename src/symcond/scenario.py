@@ -108,10 +108,6 @@ class Scenario:
     _coherent_family: QubitCoherentState | None = None
     _fixed_state: DensityState | None = None
 
-    @property
-    def sweepable(self) -> bool:
-        return self._coherent_family is not None
-
     def system_state(self, phase: float | None = None) -> DensityState:
         """The system state, at an overridden sweep phase if given."""
         if phase is None:
@@ -154,19 +150,28 @@ def _integer(value, path: str) -> int:
 
 def _pair_array(node) -> np.ndarray | None:
     """The (rows, cols, 2) float array of a well-formed, finite [re, im]
-    matrix, or None if any check fails."""
+    matrix, or None if any check fails.
+
+    Shapes are checked with ``len`` and types on one flat list of numbers,
+    so numpy converts a flat list instead of walking the nesting; each
+    value is the same ``float()`` conversion either way.
+    """
     if type(node) is not list or not node or set(map(type, node)) != {list}:
         return None
-    cells = list(chain.from_iterable(node))
-    if not cells or set(map(type, cells)) != {list}:
+    cols = len(node[0])
+    if not cols or set(map(len, node)) != {cols}:
         return None
-    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+    cells = list(chain.from_iterable(node))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    flat = list(chain.from_iterable(cells))
+    if not set(map(type, flat)) <= {int, float}:
         return None
     try:
-        pairs = np.array(node, dtype=float)
-    except (ValueError, OverflowError):
+        pairs = np.array(flat, dtype=float).reshape(len(node), cols, 2)
+    except OverflowError:
         return None
-    if pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all():
+    if not np.isfinite(pairs).all():
         return None
     return pairs
 

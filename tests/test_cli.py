@@ -88,6 +88,33 @@ def test_run_invariant_violation_exit_code(tmp_path, capsys):
     assert "trace" in err
 
 
+def test_overflowing_unitary_is_invariant_violation(tmp_path, capsys):
+    # U†U overflows to inf and NaN, so the unitarity residual is NaN; a NaN
+    # residual must fail validation rather than pass it.
+    u = np.full((4, 4), 1e200)
+    u[1::2] *= -1
+
+    def diag(*d):
+        return matrix_to_pairs(np.diag(d))
+
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(u),
+            "apparatus_state": {"matrix": diag(1.0, 0.0)},
+            "pointer": {"outcomes": ["a", "b"], "projectors": [diag(1.0, 0.0), diag(0.0, 1.0)]},
+        },
+        "system_state": {"matrix": diag(0.5, 0.5)},
+        "observable": "sigma_z",
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INVARIANT
+    assert captured.out == ""
+    assert "error: model: invariant 'unitarity' violated" in captured.err
+
+
 def test_sweep_with_explicit_grid(capsys):
     rc = main(["sweep", FIG1, "--from", "0", "--to", "3.14159", "--steps", "3", "--format", "json"])
     assert rc == EXIT_OK
@@ -240,7 +267,7 @@ def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, ca
     import symcond.cli
     import symcond.symmetry
 
-    counts = {"compile": 0, "conservation": 0, "yanase": 0}
+    counts = {"compile": 0, "conservation": 0, "yanase": 0, "symmetric": 0}
 
     class CountingModel(symcond.symmetry.CompiledModel):
         def __init__(self, *args):
@@ -258,11 +285,17 @@ def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, ca
     monkeypatch.setattr(symcond.symmetry, "CompiledModel", CountingModel)
     monkeypatch.setattr(symcond.symmetry, "check_conservation", counting("conservation", symcond.symmetry.check_conservation))
     monkeypatch.setattr(symcond.symmetry, "check_yanase", counting("yanase", symcond.symmetry.check_yanase))
+    symmetric = counting("symmetric", symcond.symmetry.check_symmetric_product_state)
+    monkeypatch.setattr(symcond.symmetry, "check_symmetric_product_state", symmetric)
+    # Counted too if the CLI binds the residual under its own name.
+    monkeypatch.setattr(symcond.cli, "check_symmetric_product_state", symmetric, raising=False)
     main(command)
     capsys.readouterr()
     assert counts["compile"] <= max_compiles
     assert counts["conservation"] == 1
     assert counts["yanase"] == 1
+    # Theorem 2 needs ρ⊗ϱ and ρ⊗Φ(ϱ); the run report reads the first.
+    assert counts["symmetric"] == 2
 
 
 @pytest.mark.parametrize(

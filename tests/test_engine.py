@@ -240,27 +240,38 @@ def test_compiled_model_matches_instrument_oracle(dim_s, dim_a):
 def test_compiled_model_matches_dual_instrument(dim_s, dim_a):
     # The compiled stacks M(x), M(x)·O and K(x) against the per-outcome
     # Heisenberg sandwich, for a non-Hermitian observable and apparatus
-    # state and pointer projectors that are not diagonal in the product
-    # basis, so no symmetry of the inputs can hide an index mistake.
+    # state, so no symmetry of the inputs can hide an index mistake.
+    # Rotated projectors are not diagonal in the product basis and take
+    # the dense route; unrotated ones take the level-sum route, one of
+    # them with a weight that is neither 0 nor 1.
     rng = np.random.default_rng(500 + 10 * dim_s + dim_a)
     n = dim_s * dim_a
 
     def gaussian(dim):
         return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
-    w = random_unitary(dim_a, rng)
-    levels = np.array_split(np.arange(dim_a), min(dim_a, 3))
-    projectors = tuple(w[:, block] @ w[:, block].conj().T for block in levels)
-    pointer = PointerObservable(tuple(f"x{i}" for i in range(len(levels))), projectors)
-    model = MeasurementModel(DensityState(gaussian(dim_a) / dim_a), random_unitary(n, rng), pointer)
-    obs = ObservableOp(gaussian(dim_s))
-    eye_s = np.eye(dim_s)
-    m = np.stack([dual_instrument(model, eye_s, x) for x in model.outcomes])
-    k = np.stack([dual_instrument(model, obs.matrix, x) for x in model.outcomes])
-    want = np.concatenate([m, m @ obs.matrix, k])
-    got = CompiledModel(model, obs)._operators
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() < 1e-12
+    for rotated in (True, False):
+        w = random_unitary(dim_a, rng)
+        levels = np.array_split(np.arange(dim_a), min(dim_a, 3))
+        if rotated:
+            projectors = tuple(w[:, block] @ w[:, block].conj().T for block in levels)
+        else:
+            diagonals = np.zeros((len(levels), dim_a), dtype=complex)
+            for i, block in enumerate(levels):
+                diagonals[i, block] = 1.0
+            diagonals[0, 0] = 0.3 - 0.4j
+            projectors = tuple(np.diag(d) for d in diagonals)
+        pointer = PointerObservable(tuple(f"x{i}" for i in range(len(levels))), projectors)
+        assert (pointer.diagonals is None) == (rotated and dim_a > 1)
+        model = MeasurementModel(DensityState(gaussian(dim_a) / dim_a), random_unitary(n, rng), pointer)
+        obs = ObservableOp(gaussian(dim_s))
+        eye_s = np.eye(dim_s)
+        m = np.stack([dual_instrument(model, eye_s, x) for x in model.outcomes])
+        k = np.stack([dual_instrument(model, obs.matrix, x) for x in model.outcomes])
+        want = np.concatenate([m, m @ obs.matrix, k])
+        got = CompiledModel(model, obs)._operators
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_conditional_change_identity_unitary_is_zero():

@@ -82,6 +82,48 @@ def test_validate_pointer_completeness():
     assert v.invariant == "completeness"
 
 
+def _diagonal_pointer(*diagonals) -> PointerObservable:
+    return PointerObservable(
+        tuple(f"x{i}" for i in range(len(diagonals))),
+        tuple(np.diag(np.asarray(d, dtype=complex)) for d in diagonals),
+    )
+
+
+@pytest.mark.parametrize(
+    "diagonals, invariant",
+    [
+        (([1, 1j, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]), "hermiticity"),
+        (([1, 0.5, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]), "idempotence"),
+        (([1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 1, 0]), "orthogonality"),
+        # Pairs (0, 3) and (1, 2) overlap; the loop meets (0, 3) first.
+        (([1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1, 1], [1, 0, 0, 0, 0, 0]), "orthogonality"),
+        (([1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0]), "completeness"),
+        (([1, np.nan, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]), "hermiticity"),
+        (([1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]), None),
+    ],
+)
+def test_diagonal_pointer_validation_matches_the_pairwise_loop(diagonals, invariant):
+    # A diagonal family is validated from its level table; the same family
+    # conjugated by a random unitary is not diagonal and takes the
+    # pairwise loop. Both must name the same first violation.
+    pointer = _diagonal_pointer(*diagonals)
+    v = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)) + 0j)[0]
+    rotated = PointerObservable(pointer.outcomes, tuple(v @ p @ v.conj().T for p in pointer.projectors))
+    assert pointer.diagonals is not None
+    assert rotated.diagonals is None
+    got, want = validate(pointer), validate(rotated)
+    if invariant is None:
+        assert got is None and want is None
+        return
+    assert got.invariant == want.invariant == invariant
+    if np.isnan(want.residual):
+        assert np.isnan(got.residual)
+    else:
+        assert abs(got.residual - want.residual) < 1e-12
+    if len(diagonals) == 4:
+        assert got.residual == pytest.approx(1.0)
+
+
 def test_validate_model_flags_bad_apparatus_state():
     ptr = PointerObservable(
         ("-", "+"), (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))

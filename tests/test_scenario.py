@@ -31,7 +31,7 @@ def test_bundled_scenario_parses():
     assert sc.model.dim_a == 2
     assert sc.model.outcomes == ("+", "-")
     assert sc.conserved is not None
-    assert sc.sweepable
+    assert sc.system_state(0.3).dim == 2  # a phase sweep can override the phase
     assert sc.sweep is not None
     assert sc.sweep.steps == 201
     assert sc.tolerance == pytest.approx(1e-9)
@@ -81,9 +81,16 @@ def test_parse_complex_matrix_rejections(node, message):
 
 
 def test_parse_complex_matrix_is_exact():
-    node = [[[1, -0.0], [0.1, 2**60 + 1]], [[-3, 1e-300], [5e-324, -7]]]
-    want = np.array([[complex(*cell) for cell in row] for row in node])
-    assert parse_complex_matrix(node, "m").tobytes() == want.tobytes()
+    rng = np.random.default_rng(64)
+    special = [0, -3, 2**60 + 1, -0.0, 0.1, 1e-300, 5e-324, -2.5e-310]
+    wide = [
+        [[special[(i + j) % 8], float(rng.normal())] if (i * j) % 3 else [float(rng.normal()), special[i % 8]]
+         for j in range(64)]
+        for i in range(64)
+    ]
+    for node in ([[[1, -0.0], [0.1, 2**60 + 1]], [[-3, 1e-300], [5e-324, -7]]], wide):
+        want = np.array([[complex(*cell) for cell in row] for row in node])
+        assert parse_complex_matrix(node, "m").tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -174,7 +181,8 @@ def test_explicit_model_roundtrip():
     }
     sc = parse_scenario(json.dumps(doc))
     assert sc.conserved is None
-    assert not sc.sweepable
+    with pytest.raises(ScenarioError):
+        sc.system_state(0.3)
     assert outcome_probability(sc.model, sc.system_state(), "+") == pytest.approx(0.7)
     rep = conditional_change(sc.model, sc.system_state(), sc.observable, "+")
     assert rep.delta == pytest.approx(0.0, abs=1e-12)
@@ -254,7 +262,6 @@ def test_phase_override_requires_coherent_family():
     }
     del doc["sweep"]
     sc = parse_scenario(json.dumps(doc))
-    assert not sc.sweepable
     with pytest.raises(ScenarioError):
         sc.system_state(0.3)
 

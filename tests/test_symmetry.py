@@ -219,6 +219,58 @@ def test_check_cross_elements_identity_unitary():
     assert check_cross_elements_imaginary(model, obs, q) == pytest.approx(0.0, abs=1e-15)
 
 
+def _dense_cross_elements(model, observable, quantity) -> float:
+    # The definition, with one dense sandwich U†(O ⊗ P^x)U per outcome;
+    # the number operators are non-degenerate, so eigenvalues label sectors.
+    ws, vs = np.linalg.eigh(quantity.system_part.matrix)
+    wa, va = np.linalg.eigh(quantity.apparatus_part.matrix)
+    sys_of, app_of = np.repeat(ws, len(wa)), np.tile(wa, len(ws))
+    mask = (sys_of[:, None] != sys_of[None, :]) & (app_of[:, None] != app_of[None, :])
+    basis, u = kron(vs, va), model.unitary
+    return max(
+        float(np.abs((basis.conj().T @ u.conj().T @ kron(observable.matrix, p) @ u @ basis).real[mask]).max())
+        for p in model.pointer.projectors
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, dim_s, dim_a, parts",
+    [
+        ("random", 2, 3, 2),
+        ("random", 2, 6, 3),
+        ("random", 3, 4, 2),
+        ("random", 4, 6, 3),
+        ("random", 3, 5, 5),
+        ("weighted", 3, 4, 2),
+        ("jaynes-cummings", 2, 6, 2),
+        ("jaynes-cummings", 4, 4, 2),
+    ],
+)
+def test_check_cross_elements_diagonal_route_matches_dense_sandwich(kind, dim_s, dim_a, parts):
+    # Coarse number pointers are diagonal, so the check takes the
+    # level-sum route; the oracle forms every dense sandwich.
+    rng = np.random.default_rng(40 + 10 * dim_s + dim_a)
+    blocks = np.array_split(np.arange(dim_a), parts)
+    pointer = number_pointer(dim_a, partition=[(f"x{i}", b.tolist()) for i, b in enumerate(blocks)])
+    if kind == "weighted":  # not a projector; the definition still applies
+        pointer = PointerObservable(pointer.outcomes, (0.5 * pointer.projectors[0], *pointer.projectors[1:]))
+    assert pointer.diagonals is not None
+    if kind != "jaynes-cummings":
+        q = ConservedQuantity(number_operator(dim_s), number_operator(dim_a))
+        model = MeasurementModel(random_density(dim_a, rng), random_conserving_unitary(q, rng), pointer)
+        obs = random_diagonal_observable(dim_s, rng)
+    else:
+        spec = JCModelSpec(dim_s, dim_a, theta=0.7, pointer=pointer)
+        model, q = build_jc_model(spec, random_density(dim_a, rng))
+        obs = ObservableOp(np.diag([0.3, -1.2, 2.1, 0.5][:dim_s]).astype(complex))
+    got = check_cross_elements_imaginary(model, obs, q)
+    assert abs(got - _dense_cross_elements(model, obs, q)) < 1e-12
+    if kind == "jaynes-cummings":
+        # The qubit family satisfies the hypothesis; dim_s = 4 breaks it
+        # (residual ≈ 1.09).
+        assert got < 1e-10 if dim_s == 2 else got > 1.0
+
+
 def test_verify_theorem1_random_conserving_instances():
     rng = np.random.default_rng(34)
     for _ in range(10):
