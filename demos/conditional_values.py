@@ -17,18 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from symcond import (
+    CompiledModel,
     DensityState,
     EffectSet,
     ObservableOp,
-    average_after,
-    average_before,
-    conditional_change,
     fig1_scenario_path,
     induced_povm,
     load_scenario,
-    outcome_probability,
     weak_value,
 )
+from symcond.engine import outcome_averages
 
 
 def main() -> None:
@@ -50,19 +48,23 @@ def main() -> None:
     print("\nsystem state (phase 0):")
     print(np.array_str(rho.matrix, precision=4, suppress_small=True))
 
+    # The model is compiled once per observable; every state is then
+    # evaluated against the same branch operators.
+    values = CompiledModel(model, obs).evaluate(rho)
     print("\n== conditional values per outcome ==")
     for label in model.outcomes:
-        rep = conditional_change(model, rho, obs, label)
+        rep = values[label].report()
         print(f"outcome {label}: p = {rep.probability:.6f}  "
               f"before = {rep.before:+.6f}  after = {rep.after:+.6f}  "
               f"delta = {rep.delta:+.6f}")
 
     # Both families of conditional values average back to unconditioned
     # expectations, just against different states.
+    avg_before, avg_after = outcome_averages(values)
     print("\n== averages ==")
-    print(f"sum_x p(x) <O>_before = {average_before(model, rho, obs):+.6f}"
+    print(f"sum_x p(x) <O>_before = {avg_before:+.6f}"
           f"  (tr[O rho] = {np.trace(obs.matrix @ rho.matrix).real:+.6f})")
-    print(f"sum_x p(x) <O>_after  = {average_after(model, rho, obs):+.6f}")
+    print(f"sum_x p(x) <O>_after  = {avg_after:+.6f}")
 
     # Note the '+' row above: before-values need not lie in [-1, 1] even
     # though the spectrum of O does. Push harder with a nearly orthogonal

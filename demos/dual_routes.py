@@ -22,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from symcond import (
+    CompiledModel,
     JCModelSpec,
     ZeroProbabilityOutcome,
     blockwise_conditional_values,
-    conditional_after,
-    conditional_before,
     jc_hamiltonian,
     jc_unitary_closed_form,
 )
@@ -48,13 +47,14 @@ def main() -> None:
         model, quantity = random_number_conserving_model(2, 3, rng)
         rho = random_density(2, rng)
         obs = random_diagonal_observable(2, rng)
+        values = CompiledModel(model, obs).evaluate(rho)
         for label in model.outcomes:
             try:
                 b_block, a_block = blockwise_conditional_values(model, rho, obs, quantity, label)
             except ZeroProbabilityOutcome:
                 continue
-            b_direct = conditional_before(model, rho, obs, label)
-            a_direct = conditional_after(model, rho, obs, label)
+            direct = values[label].report()
+            b_direct, a_direct = direct.before, direct.after
             gap = max(abs(b_block - b_direct), abs(a_block - a_direct))
             worst = max(worst, gap)
             checked += 1

@@ -13,14 +13,8 @@ from .engine import (
     ConditionalReport,
     ZeroProbabilityOutcome,
     apply_instrument,
-    average_after,
-    average_before,
-    conditional_after,
-    conditional_before,
-    conditional_change,
     dual_instrument,
     induced_povm,
-    outcome_probability,
     weak_value,
 )
 from .jaynes_cummings import (
@@ -101,8 +95,6 @@ __all__ = [
     "Violation",
     "ZeroProbabilityOutcome",
     "apply_instrument",
-    "average_after",
-    "average_before",
     "blockwise_conditional_values",
     "born_probability",
     "build_jc_model",
@@ -110,9 +102,6 @@ __all__ = [
     "check_cross_elements_imaginary",
     "check_symmetric_product_state",
     "check_yanase",
-    "conditional_after",
-    "conditional_before",
-    "conditional_change",
     "decohere",
     "dual_instrument",
     "fig1_scenario_path",
@@ -126,7 +115,6 @@ __all__ = [
     "load_scenario",
     "number_operator",
     "number_pointer",
-    "outcome_probability",
     "parse_scenario",
     "partial_trace",
     "qubit_coherent_state",

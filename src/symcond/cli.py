@@ -200,13 +200,13 @@ def run_report(scenario: Scenario, tol: float) -> dict:
                 "weak_value_imag": (branch.weak_numerator / rep.probability).imag,
             }
         )
-    average_before, average_after = outcome_averages(values)
+    before, after = outcome_averages(values)
     report = {
         "scenario": scenario.source,
         "tolerance": tol,
         "validation": "ok",
         "outcomes": outcomes,
-        "averages": {"before": average_before, "after": average_after},
+        "averages": {"before": before, "after": after},
     }
     if scenario.conserved is not None:
         verdicts = verify_theorems(model, state, observable, scenario.conserved, tol)
@@ -483,20 +483,25 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol",
+_FLAGS = {
+    "--tol": dict(
         type=_tolerance,
         default=None,
         help="comparison tolerance (default: the scenario's, 1e-9 if it declares none)",
-    )
-    parser.add_argument(
-        "--format",
+    ),
+    "--format": dict(
         choices=("csv", "json"),
         default=None,
         help="output format (default: json for run/theorems, csv for sweep/fig1)",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress informational output")
+    ),
+    "--quiet": dict(action="store_true", help="suppress informational output"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the named shared flags; each subcommand takes only those it reads."""
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate one scenario and emit a structured report")
     p.add_argument("scenario", help="path to a .scenario file")
-    _add_common_flags(p)
+    _add_flags(p, "--tol", "--format")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="sweep the system-state phase over a grid")
@@ -517,12 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, default=None, help="grid start (radians)")
     p.add_argument("--to", dest="stop", type=float, default=None, help="grid end (radians)")
     p.add_argument("--steps", type=int, default=None, help="number of grid points")
-    _add_common_flags(p)
+    _add_flags(p, "--format")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fig1", help="write the sweep of the bundled qubit-qubit scenario")
     p.add_argument("--out", required=True, help="output file path")
-    _add_common_flags(p)
+    _add_flags(p, "--format", "--quiet")
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("theorems", help="verify the coherence-irrelevance theorems on a scenario")
@@ -533,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit 5 unless this theorem's hypotheses and equalities all hold",
     )
-    _add_common_flags(p)
+    _add_flags(p, "--tol", "--format", "--quiet")
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("selftest", help="run seeded randomized property checks")
-    _add_common_flags(p)
+    _add_flags(p, "--quiet")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -18,8 +18,10 @@ and the expectation in the normalized post-measurement state is
 
 M(x) and K(x) depend on the model and the observable, never on the
 state, so :class:`CompiledModel` builds them once and evaluates any
-number of states against them; it is the one evaluation route, and the
-single-outcome functions below are thin wrappers over it.
+number of states against them. It is the one evaluation route:
+``CompiledModel(model, observable).evaluate(state)[x].report()`` gives
+p(x), before(x), after(x) and their change, and :func:`outcome_averages`
+folds an evaluation into the two outcome averages.
 
 The compile never forms U†(O ⊗ P^x)U. The partial trace over A is cyclic
 for apparatus-only factors, so with G = U(1 ⊗ ϱ) and V = (O† ⊗ 1)U
@@ -34,16 +36,16 @@ n = d_s·d_a, instead of 4|X|·n³ for the sandwiches.
 
 A diagonal pointer (every P^x = Σ_c w_xc |c⟩⟨c| in the apparatus basis,
 as any pointer compatible with a non-degenerate L_A = N_A is) needs only
-the level-diagonal blocks c = d. For each level c,
+the level-diagonal blocks c = d. With conj(V_a) = (aᵀ ⊗ 1)·conj(U), one
+product for all k operators a at once, each level c gives
 
-    Q_c[(r', s), (r, t)] = Σ_a conj(U[(r',c),(s,a)]) G[(r,c),(t,a)],
+    T^a_c[s, t] = Σ_{r,α} conj(V_a)[(r,c),(s,α)] G[(r,c),(t,α)],
 
-one batched (d_a, d_s², d_a)·(d_a, d_a, d_s²) product, then
-T^a_c[s, t] = Σ_{r',r} a[r', r] Q_c[(r', s), (r, t)] for every operator a
-from one product against the stacked operators, and the branch operator
-of outcome x is the level sum Σ_c w_xc T^a_c, one (|X| × d_a) product.
-Neither a nor w is assumed Hermitian, real or 0/1. This costs about
-n²·d_a + n²·d_s² instead of 2n³ + n²·d_a.
+one batched (d_a, k·d_s, n)·(d_a, n, d_s) product over c, and the branch
+operator of outcome x is the level sum Σ_c w_xc T^a_c, one (|X| × d_a)
+product. Neither a nor w is assumed Hermitian, real or 0/1. This costs
+about 2k·n²·d_s + n²·d_a work and O(k·n²) memory, instead of
+2n³ + n²·d_a.
 
 :func:`dual_instrument` (the Heisenberg sandwich, one outcome at a time)
 and :func:`apply_instrument` (the Schrödinger-picture instrument) are the
@@ -127,8 +129,8 @@ def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...])
     built by the shared contraction of G = U(1 ⊗ ϱ) given in the module
     docstring, never forming U†(a ⊗ P^x)U. A diagonal pointer
     (``model.pointer.diagonals`` is not None) takes the level-sum route,
-    about n²·d_a + n²·d_s² work; any other pointer takes the dense route,
-    about 2n³ + n²·d_a.
+    about 2k·n²·d_s + n²·d_a work in O(k·n²) memory for k operators; any
+    other pointer takes the dense route, about 2n³ + n²·d_a.
     """
     ds, da = model.dim_s, model.dim_a
     n = ds * da
@@ -136,13 +138,13 @@ def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...])
     g = (u.reshape(n * ds, da) @ model.apparatus_state.matrix).reshape(ds, da, ds, da)
     weights = model.pointer.diagonals
     if weights is not None:
-        left = u.reshape(ds, da, ds, da).conj().transpose(1, 0, 2, 3).reshape(da, ds * ds, da)
-        right = g.transpose(1, 3, 0, 2).reshape(da, da, ds * ds)  # [c, a, (r', t)]
-        q = (left @ right).reshape(da, ds, ds, ds, ds)  # [c, r, s, r', t]
-        q = q.transpose(0, 2, 4, 1, 3).reshape(da * ds * ds, ds * ds)  # [(c, s, t), (r, r')]
-        flat = np.stack(operators).reshape(len(operators), ds * ds).T  # [(r, r'), k]
-        t = (q @ flat).reshape(da, ds * ds * len(operators))  # T^a_c[s, t]
-        return (weights @ t).reshape(-1, ds, ds, len(operators)).transpose(3, 0, 1, 2)
+        k = len(operators)
+        a_t = np.stack(operators).transpose(0, 2, 1).reshape(k * ds, ds)  # [(k, r), r']
+        v = (a_t @ u.conj().reshape(ds, da * n)).reshape(k, ds, da, ds, da)  # [k, r, c, s, α]
+        left = v.transpose(2, 0, 3, 1, 4).reshape(da, k * ds, n)  # [c, (k, s), (r, α)]
+        right = g.transpose(1, 2, 0, 3).reshape(da, ds, n)  # [c, t, (r, α)]
+        t = (left @ right.transpose(0, 2, 1)).reshape(da, k * ds * ds)  # T^a_c[s, t]
+        return (weights @ t).reshape(-1, k, ds, ds).transpose(1, 0, 2, 3)
     right = g.transpose(0, 3, 1, 2).reshape(n, n)  # [(r, a), (d, t)]
     projectors = np.stack(model.pointer.projectors).reshape(-1, da * da).T  # [(c, d), x]
     stacks = []
@@ -203,7 +205,7 @@ class CompiledModel:
     Built once per (model, observable): for every outcome x it stacks M(x),
     M(x)·O and K(x), the d_s×d_s images of :func:`dual_instrument`, with
     one :func:`branch_operators` call (about 2n³ + n²·d_a work, or
-    n²·d_a + n²·d_s² for a diagonal pointer, whatever the number of
+    4n²·d_s + n²·d_a for a diagonal pointer, whatever the number of
     outcomes).
     :meth:`evaluate` then costs one stacked d_s×d_s product per state,
     whatever the apparatus dimension.
@@ -242,87 +244,18 @@ def outcome_averages(values: dict[str, BranchValues]) -> tuple[float, float]:
     return before, after
 
 
-def _branch(
-    model: MeasurementModel, state: DensityState, observable: ObservableOp, outcome: str
-) -> BranchValues:
-    model.pointer.projector(outcome)  # KeyError naming the known labels
-    return CompiledModel(model, observable).evaluate(state)[outcome]
-
-
-def outcome_probability(model: MeasurementModel, state: DensityState, outcome: str) -> float:
-    """p(x) = tr[M(x)ρ], clamped to [0, 1]."""
-    return _branch(model, state, ObservableOp(np.eye(model.dim_s)), outcome).probability
-
-
-def conditional_after(
-    model: MeasurementModel,
-    state: DensityState,
-    observable: ObservableOp,
-    outcome: str,
-) -> float:
-    """Expectation of the observable in the normalized post-outcome state,
-    tr[K(x)ρ]/p(x)."""
-    return conditional_change(model, state, observable, outcome).after
-
-
-def conditional_before(
-    source: MeasurementModel | EffectSet,
-    state: DensityState,
-    observable: ObservableOp,
-    outcome: str,
-) -> float:
-    """Generalized weak value Re tr[M(x)Oρ]/p(x) of the pre-measurement state.
-
-    The real part of :func:`weak_value`; ``source`` supplies M(x) as
-    described there.
-    """
-    return weak_value(source, state, observable, outcome).real
-
-
 def weak_value(
-    source: MeasurementModel | EffectSet,
-    state: DensityState,
-    observable: ObservableOp,
-    outcome: str,
+    effects: EffectSet, state: DensityState, observable: ObservableOp, outcome: str
 ) -> complex:
-    """Full complex weak value tr[M(x)Oρ]/p(x).
+    """Complex weak value tr[M(x)Oρ]/p(x) for the given effect M(x) of a POVM.
 
-    M(x) is the given effect of an ``EffectSet``, or the induced effect of
-    a ``MeasurementModel``. ``conditional_before`` is the real part; the
-    imaginary part is exposed here purely as a diagnostic and never
-    enters any conditional change.
+    For a measurement model use :class:`CompiledModel`: its
+    ``BranchValues.weak_numerator / probability`` is the same number with
+    M(x) the induced effect, and its real part is ``before``. The
+    imaginary part is a diagnostic only and never enters a conditional
+    change. Raises ZeroProbabilityOutcome at p(x) not above P_FLOOR.
     """
-    if isinstance(source, EffectSet):
-        m = source.effect(outcome)
-        p = born_probability(state, m)
-        numerator = complex(np.trace(m @ observable.matrix @ state.matrix))
-    else:
-        values = _branch(source, state, observable, outcome)
-        p, numerator = values.probability, values.weak_numerator
+    m = effects.effect(outcome)
+    p = born_probability(state, m)
+    numerator = complex(np.trace(m @ observable.matrix @ state.matrix))
     return numerator / _checked_probability(p, outcome)
-
-
-def conditional_change(
-    model: MeasurementModel,
-    state: DensityState,
-    observable: ObservableOp,
-    outcome: str,
-) -> ConditionalReport:
-    """Before/after/delta report for one outcome (delta = after − before)."""
-    return _branch(model, state, observable, outcome).report()
-
-
-def average_before(
-    model: MeasurementModel, state: DensityState, observable: ObservableOp
-) -> float:
-    """Σ_x p(x)·before(x) = Σ_x Re tr[M(x)Oρ]; equals tr[Oρ].
-    Zero-probability outcomes add 0."""
-    return outcome_averages(CompiledModel(model, observable).evaluate(state))[0]
-
-
-def average_after(
-    model: MeasurementModel, state: DensityState, observable: ObservableOp
-) -> float:
-    """Σ_x p(x)·after(x) = Σ_x tr[K(x)ρ]; equals the post-interaction
-    expectation tr[(O ⊗ 1) U (ρ ⊗ ϱ) U†]. Zero-probability outcomes add 0."""
-    return outcome_averages(CompiledModel(model, observable).evaluate(state))[1]

@@ -15,6 +15,7 @@ sectors is included as an independent cross-check path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,15 @@ from .linalg import (
     unitary_from_generator,
 )
 from .objects import DensityState, MeasurementModel, ObservableOp
+
+
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is NaN, 0.0 for none.
+
+    Python's ``max`` keeps its running value when a comparison with NaN
+    is false, so a NaN residual would otherwise read as a pass.
+    """
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals, default=0.0)
 
 
 @dataclass
@@ -87,7 +97,7 @@ def check_yanase(model: MeasurementModel, quantity: ConservedQuantity) -> float:
     la = quantity.apparatus_part.matrix
     if model.pointer.values is not None:
         return frob(commutator(model.pointer.as_operator(), la))
-    return max(frob(commutator(p, la)) for p in model.pointer.projectors)
+    return _worst(*(frob(commutator(p, la)) for p in model.pointer.projectors))
 
 
 def _pinned_eigenbasis(quantity: ConservedQuantity) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -156,12 +166,12 @@ def check_cross_elements_imaginary(
             w_x = rows.reshape(-1, n).conj().T @ weighted.reshape(-1, n)
             np.maximum(largest, np.abs(w_x.real), out=largest)
         return float(largest[mask].max())
-    residual = 0.0
+    residuals = []
     for label in model.pointer.outcomes:
         op = kron(observable.matrix, model.pointer.projector(label))
         w = dagger(basis) @ dagger(model.unitary) @ op @ model.unitary @ basis
-        residual = max(residual, float(np.abs(w.real[mask]).max()))
-    return residual
+        residuals.append(float(np.abs(w.real[mask]).max()))
+    return _worst(*residuals)
 
 
 @dataclass
@@ -236,18 +246,17 @@ def _pair_residuals(pairs: list[tuple[CompiledModel, DensityState]]) -> tuple[fl
     there, so nothing is claimed.
     """
     evaluations = [compiled.evaluate(state) for compiled, state in pairs]
-    res_before = 0.0
-    res_after = 0.0
+    before: list[float] = []
+    after: list[float] = []
     for outcome in pairs[0][0].outcomes:
         try:
             reports = [values[outcome].report() for values in evaluations]
         except ZeroProbabilityOutcome:
             continue
-        befores = [rep.before for rep in reports]
-        afters = [rep.after for rep in reports]
-        res_before = max(res_before, max(befores) - min(befores))
-        res_after = max(res_after, max(afters) - min(afters))
-    return res_before, res_after
+        for deviations, xs in ((before, [r.before for r in reports]), (after, [r.after for r in reports])):
+            low = min(xs)
+            deviations.extend(x - low for x in xs)  # the largest is the spread; NaN stays NaN
+    return _worst(*before), _worst(*after)
 
 
 @dataclass
@@ -321,7 +330,7 @@ def _theorem2(
     )
     hypotheses = {
         **shared.hypotheses,
-        "symmetric_state": max(symmetric),
+        "symmetric_state": _worst(*symmetric),
         "cross_elements": check_cross_elements_imaginary(model, observable, quantity),
     }
     compiled, compiled2, state_dec = shared.compiled, shared.compiled2, shared.state_dec

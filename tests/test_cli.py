@@ -238,6 +238,23 @@ def test_tol_flag_must_be_finite_and_positive(value, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_flags_are_only_accepted_where_they_are_read(tmp_path, capsys):
+    # Each subcommand registers only the shared flags it reads, so a flag
+    # that would be ignored is a usage error instead.
+    out = str(tmp_path / "unused.csv")
+    for argv in (
+        ["selftest", "--format", "json", "--tol", "5"],
+        ["fig1", "--out", out, "--tol", "1e-30"],
+        ["sweep", FIG1, "--tol", "1e-9"],
+        ["run", FIG1, "--quiet"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
+
 def test_non_finite_scenario_number_is_parse_error(tmp_path, capsys):
     doc = fig1_doc()
     doc["system_state"]["coherent"]["polar"] = float("nan")

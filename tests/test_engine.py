@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,18 +16,13 @@ from symcond import (
     PointerObservable,
     ZeroProbabilityOutcome,
     apply_instrument,
-    average_after,
-    average_before,
-    conditional_after,
-    conditional_before,
-    conditional_change,
     dual_instrument,
     fig1_scenario_path,
     induced_povm,
     load_scenario,
-    outcome_probability,
     weak_value,
 )
+from symcond.engine import outcome_averages
 from symcond.sampling import random_density, random_model, random_observable, random_unitary
 
 
@@ -39,6 +36,12 @@ def number_pointer_2() -> PointerObservable:
 
 def identity_model(xi: np.ndarray) -> MeasurementModel:
     return MeasurementModel(DensityState(xi), np.eye(4, dtype=complex), number_pointer_2())
+
+
+def probabilities(model: MeasurementModel, rho: DensityState) -> dict[str, float]:
+    """p(x) for every outcome, from the compiled model of the identity observable."""
+    values = CompiledModel(model, ObservableOp(np.eye(model.dim_s))).evaluate(rho)
+    return {x: branch.probability for x, branch in values.items()}
 
 
 def test_apply_instrument_identity_unitary():
@@ -98,8 +101,9 @@ def test_outcome_probability_pointer_eigenstate():
     # is '+' with certainty regardless of the system state.
     model = identity_model(np.diag([0.0, 1.0]).astype(complex))
     rho = DensityState(np.full((2, 2), 0.5, dtype=complex))
-    assert outcome_probability(model, rho, "+") == pytest.approx(1.0)
-    assert outcome_probability(model, rho, "-") == pytest.approx(0.0)
+    p = probabilities(model, rho)
+    assert p["+"] == pytest.approx(1.0)
+    assert p["-"] == pytest.approx(0.0)
 
 
 def test_probabilities_sum_to_one():
@@ -107,7 +111,7 @@ def test_probabilities_sum_to_one():
     for _ in range(10):
         model = random_model(2, 3, rng)
         rho = random_density(2, rng)
-        total = sum(outcome_probability(model, rho, x) for x in model.outcomes)
+        total = sum(probabilities(model, rho).values())
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -117,8 +121,9 @@ def test_conditional_after_identity_unitary():
     rho = DensityState(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     obs = ObservableOp(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
     expected = np.trace(obs.matrix @ rho.matrix).real
+    values = CompiledModel(model, obs).evaluate(rho)
     for label in ("-", "+"):
-        assert conditional_after(model, rho, obs, label) == pytest.approx(expected, abs=1e-12)
+        assert values[label].report().after == pytest.approx(expected, abs=1e-12)
 
 
 def test_conditional_values_for_identity_observable():
@@ -126,18 +131,20 @@ def test_conditional_values_for_identity_observable():
     model = random_model(2, 2, rng)
     rho = random_density(2, rng)
     one = ObservableOp(np.eye(2, dtype=complex))
+    values = CompiledModel(model, one).evaluate(rho)
     for label in model.outcomes:
-        if outcome_probability(model, rho, label) < 1e-6:
+        if values[label].probability < 1e-6:
             continue
-        assert conditional_after(model, rho, one, label) == pytest.approx(1.0, abs=1e-10)
-        assert conditional_before(model, rho, one, label) == pytest.approx(1.0, abs=1e-10)
+        rep = values[label].report()
+        assert rep.after == pytest.approx(1.0, abs=1e-10)
+        assert rep.before == pytest.approx(1.0, abs=1e-10)
 
 
 def test_conditional_after_eigenstate():
     model = identity_model(np.diag([0.3, 0.7]).astype(complex))
     rho = DensityState(np.diag([0.0, 1.0]).astype(complex))
     obs = ObservableOp(np.diag([3.0, 7.0]))
-    assert conditional_after(model, rho, obs, "+") == pytest.approx(7.0)
+    assert CompiledModel(model, obs).evaluate(rho)["+"].report().after == pytest.approx(7.0)
 
 
 def test_conditional_before_eigenstate_gives_eigenvalue():
@@ -147,10 +154,11 @@ def test_conditional_before_eigenstate_gives_eigenvalue():
     model = random_model(2, 3, rng)
     rho = DensityState(np.diag([1.0, 0.0]).astype(complex))
     obs = ObservableOp(np.diag([2.5, -4.0]))
+    values = CompiledModel(model, obs).evaluate(rho)
     for label in model.outcomes:
-        if outcome_probability(model, rho, label) < 1e-6:
+        if values[label].probability < 1e-6:
             continue
-        assert conditional_before(model, rho, obs, label) == pytest.approx(2.5, abs=1e-10)
+        assert values[label].report().before == pytest.approx(2.5, abs=1e-10)
 
 
 def test_conditional_before_matches_rank_one_weak_value():
@@ -166,7 +174,7 @@ def test_conditional_before_matches_rank_one_weak_value():
 
     effects = EffectSet(("hit", "miss"), (proj, np.eye(2) - proj))
     rho = DensityState(np.outer(psi, psi.conj()))
-    got = conditional_before(effects, rho, obs, "hit")
+    got = weak_value(effects, rho, obs, "hit").real
     amp = phi.conj() @ obs.matrix @ psi
     overlap = phi.conj() @ psi
     assert got == pytest.approx((amp / overlap).real, abs=1e-10)
@@ -185,12 +193,13 @@ def test_conditional_before_routes_agree():
         rho = random_density(2, rng)
         obs = random_observable(2, rng)
         effects = induced_povm(model)
+        values = CompiledModel(model, obs).evaluate(rho)
         for label in model.outcomes:
-            if outcome_probability(model, rho, label) < 1e-6:
+            if values[label].probability < 1e-6:
                 continue
             want = instrument_weak_value(model, rho, obs, label).real
-            assert abs(conditional_before(model, rho, obs, label) - want) < 1e-10
-            assert abs(conditional_before(effects, rho, obs, label) - want) < 1e-10
+            assert abs(values[label].report().before - want) < 1e-10
+            assert abs(weak_value(effects, rho, obs, label).real - want) < 1e-10
 
 
 def test_weak_value_routes_agree_including_imag():
@@ -199,14 +208,14 @@ def test_weak_value_routes_agree_including_imag():
     rho = random_density(2, rng)
     obs = random_observable(2, rng)
     effects = induced_povm(model)
+    values = CompiledModel(model, obs).evaluate(rho)
     for label in model.outcomes:
         want = instrument_weak_value(model, rho, obs, label)
-        wv_model = weak_value(model, rho, obs, label)
+        rep = values[label].report()
+        wv_model = values[label].weak_numerator / rep.probability
         assert abs(wv_model - want) < 1e-10
         assert abs(weak_value(effects, rho, obs, label) - want) < 1e-10
-        assert wv_model.real == pytest.approx(
-            conditional_before(model, rho, obs, label), abs=1e-12
-        )
+        assert wv_model.real == pytest.approx(rep.before, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim_s", [2, 3, 4])
@@ -235,7 +244,7 @@ def test_compiled_model_matches_instrument_oracle(dim_s, dim_a):
             assert rep.delta == rep.after - rep.before
 
 
-@pytest.mark.parametrize("dim_s", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim_s", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("dim_a", [1, 2, 3, 5])
 def test_compiled_model_matches_dual_instrument(dim_s, dim_a):
     # The compiled stacks M(x), M(x)·O and K(x) against the per-outcome
@@ -274,12 +283,34 @@ def test_compiled_model_matches_dual_instrument(dim_s, dim_a):
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_diagonal_compile_memory_is_quadratic_in_n():
+    # A wide system (d_s > d_a) on a diagonal pointer: the compile's peak
+    # stays within 16 n×n complex arrays, so no d_a·d_s⁴ intermediate
+    # (2·16⁴ entries here, 2 MB) is formed.
+    rng = np.random.default_rng(41)
+    dim_s, dim_a = 16, 2
+    n = dim_s * dim_a
+    levels = tuple(np.diag(row).astype(complex) for row in np.eye(dim_a))
+    pointer = PointerObservable(("0", "1"), levels)
+    assert pointer.diagonals is not None
+    model = MeasurementModel(DensityState(np.eye(dim_a) / dim_a), random_unitary(n, rng), pointer)
+    obs = random_observable(dim_s, rng)
+    tracemalloc.start()
+    try:
+        CompiledModel(model, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n * 16
+
+
 def test_conditional_change_identity_unitary_is_zero():
     model = identity_model(np.diag([0.3, 0.7]).astype(complex))
     rho = DensityState(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     obs = ObservableOp(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
+    values = CompiledModel(model, obs).evaluate(rho)
     for label in ("-", "+"):
-        rep = conditional_change(model, rho, obs, label)
+        rep = values[label].report()
         assert rep.delta == pytest.approx(0.0, abs=1e-12)
         assert rep.after == pytest.approx(rep.before, abs=1e-12)
 
@@ -289,12 +320,13 @@ def test_conditional_change_fig1_frozen_values():
     # phase zero, where the interference terms vanish.
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
-    rep = conditional_change(setup.model, rho, setup.observable, "+")
+    values = CompiledModel(setup.model, setup.observable).evaluate(rho)
+    rep = values["+"].report()
     assert rep.probability == pytest.approx(0.82766504294495524, abs=1e-12)
     assert rep.before == pytest.approx(0.9336477008475339, abs=1e-12)
     assert rep.after == pytest.approx(0.54691816067802734, abs=1e-12)
     assert rep.delta == pytest.approx(-0.38672954016950656, abs=1e-12)
-    rep_minus = conditional_change(setup.model, rho, setup.observable, "-")
+    rep_minus = values["-"].report()
     assert rep_minus.probability == pytest.approx(0.1723349570550447, abs=1e-12)
     assert rep_minus.before == pytest.approx(-0.38089070466370573, abs=1e-12)
     assert rep_minus.after == pytest.approx(0.57511055241116749, abs=1e-12)
@@ -305,11 +337,9 @@ def test_zero_probability_outcome_raises():
     rho = DensityState(np.diag([0.5, 0.5]).astype(complex))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
     with pytest.raises(ZeroProbabilityOutcome):
-        conditional_after(model, rho, obs, "-")
+        CompiledModel(model, obs).evaluate(rho)["-"].report()
     with pytest.raises(ZeroProbabilityOutcome):
-        conditional_before(model, rho, obs, "-")
-    with pytest.raises(ZeroProbabilityOutcome):
-        conditional_change(model, rho, obs, "-")
+        weak_value(induced_povm(model), rho, obs, "-")
 
 
 def test_nan_apparatus_state_raises_instead_of_nan_report():
@@ -318,9 +348,10 @@ def test_nan_apparatus_state_raises_instead_of_nan_report():
     model = identity_model(xi)
     rho = DensityState(np.diag([0.5, 0.5]).astype(complex))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
+    values = CompiledModel(model, obs).evaluate(rho)
     for label in ("-", "+"):
         with pytest.raises(ZeroProbabilityOutcome):
-            conditional_change(model, rho, obs, label)
+            values[label].report()
 
 
 def test_average_before_recovers_unconditioned_mean():
@@ -330,7 +361,8 @@ def test_average_before_recovers_unconditioned_mean():
         rho = random_density(2, rng)
         obs = random_observable(2, rng)
         want = np.trace(obs.matrix @ rho.matrix).real
-        assert average_before(model, rho, obs) == pytest.approx(want, abs=1e-10)
+        before, _ = outcome_averages(CompiledModel(model, obs).evaluate(rho))
+        assert before == pytest.approx(want, abs=1e-10)
 
 
 def test_average_after_matches_heisenberg_mean():
@@ -344,4 +376,5 @@ def test_average_after_matches_heisenberg_mean():
         joint = kron(rho.matrix, model.apparatus_state.matrix)
         evolved = model.unitary @ joint @ dagger(model.unitary)
         want = np.trace(kron(obs.matrix, np.eye(model.dim_a)) @ evolved).real
-        assert average_after(model, rho, obs) == pytest.approx(want, abs=1e-10)
+        _, after = outcome_averages(CompiledModel(model, obs).evaluate(rho))
+        assert after == pytest.approx(want, abs=1e-10)

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from symcond import (
+    CompiledModel,
     InvariantViolation,
     Scenario,
     ScenarioError,
@@ -16,7 +17,6 @@ from symcond import (
     load_scenario,
     parse_scenario,
 )
-from symcond.engine import conditional_change, outcome_probability
 from symcond.scenario import matrix_to_pairs, parse_complex_matrix
 
 
@@ -183,8 +183,9 @@ def test_explicit_model_roundtrip():
     assert sc.conserved is None
     with pytest.raises(ScenarioError):
         sc.system_state(0.3)
-    assert outcome_probability(sc.model, sc.system_state(), "+") == pytest.approx(0.7)
-    rep = conditional_change(sc.model, sc.system_state(), sc.observable, "+")
+    branch = CompiledModel(sc.model, sc.observable).evaluate(sc.system_state())["+"]
+    assert branch.probability == pytest.approx(0.7)
+    rep = branch.report()
     assert rep.delta == pytest.approx(0.0, abs=1e-12)
 
 

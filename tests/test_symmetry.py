@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from symcond import (
+    CompiledModel,
     ConservedQuantity,
     DensityState,
     JCModelSpec,
@@ -20,8 +21,6 @@ from symcond import (
     check_cross_elements_imaginary,
     check_symmetric_product_state,
     check_yanase,
-    conditional_after,
-    conditional_before,
     decohere,
     fig1_scenario_path,
     load_scenario,
@@ -36,6 +35,7 @@ from symcond.sampling import (
     random_diagonal_density,
     random_diagonal_observable,
     random_number_conserving_model,
+    random_pointer,
     random_unitary,
 )
 from symcond.symmetry import random_conserving_unitary
@@ -165,6 +165,18 @@ def test_check_yanase_label_only_pointer():
     assert check_yanase(tilted, q) > 0.1
 
 
+def test_check_yanase_label_only_pointer_propagates_nan():
+    # The first projector commutes with L_A, so a fold that drops NaN
+    # would report 0.0 for the NaN in the second one.
+    xi = DensityState(np.diag([0.4, 0.6]).astype(complex))
+    q = ConservedQuantity(number_operator(2), number_operator(2))
+    broken = np.diag([0.0, 1.0]).astype(complex)
+    broken[1, 1] = np.nan
+    pointer = PointerObservable(("a", "b"), (np.diag([1.0, 0.0]).astype(complex), broken))
+    model = MeasurementModel(xi, np.eye(4, dtype=complex), pointer)
+    assert np.isnan(check_yanase(model, q))
+
+
 def test_check_symmetric_product_state_fig1_residuals():
     setup = load_scenario(fig1_scenario_path())
     xi = setup.model.apparatus_state
@@ -217,6 +229,31 @@ def test_check_cross_elements_identity_unitary():
     q = ConservedQuantity(number_operator(2), number_operator(2))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
     assert check_cross_elements_imaginary(model, obs, q) == pytest.approx(0.0, abs=1e-15)
+
+
+def _nan_observable_instance():
+    # A conserving 2×3 model whose random pointer is not diagonal in the
+    # number basis (so checks take their dense routes), with the
+    # observable diag(NaN, 1).
+    rng = np.random.default_rng(44)
+    model, q = random_number_conserving_model(2, 3, rng)
+    model = MeasurementModel(model.apparatus_state, model.unitary, random_pointer(3, rng))
+    assert model.pointer.diagonals is None
+    obs = ObservableOp(np.diag([np.nan, 1.0]).astype(complex))
+    return model, random_density(2, rng), obs, q
+
+
+def test_check_cross_elements_dense_route_propagates_nan():
+    model, _, obs, q = _nan_observable_instance()
+    assert np.isnan(check_cross_elements_imaginary(model, obs, q))
+
+
+def test_theorem2_equalities_propagate_nan():
+    model, rho, obs, q = _nan_observable_instance()
+    verdict = verify_theorem2(model, rho, obs, q)
+    assert np.isnan(verdict.equalities["before_chain"])
+    assert np.isnan(verdict.equalities["after_chain"])
+    assert not verdict.all_equalities_hold
 
 
 def _dense_cross_elements(model, observable, quantity) -> float:
@@ -368,14 +405,15 @@ def test_blockwise_matches_direct_on_random_conserving_models():
         model, q = random_number_conserving_model(2, 3, rng)
         rho = random_density(2, rng)
         obs = random_diagonal_observable(2, rng)
+        values = CompiledModel(model, obs).evaluate(rho)
         for label in model.outcomes:
             try:
                 before, after = blockwise_conditional_values(model, rho, obs, q, label)
             except Exception as exc:
                 assert isinstance(exc, ZeroProbabilityOutcome)
                 continue
-            direct_before = conditional_before(model, rho, obs, label)
-            direct_after = conditional_after(model, rho, obs, label)
+            direct = values[label].report()
+            direct_before, direct_after = direct.before, direct.after
             assert abs(before - direct_before) < 1e-9
             assert abs(after - direct_after) < 1e-9
 
