@@ -36,7 +36,7 @@ from .engine import (
 )
 from .jaynes_cummings import jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
 from .linalg import frob, hermitian_eig, kron, unitary_from_generator
-from .objects import DensityState, ObservableOp, born_probability
+from .objects import born_probability
 from .sampling import (
     random_density,
     random_diagonal_density,
@@ -96,37 +96,32 @@ def sweep_records(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecor
     quantity) are measured; ``difference`` is delta_coherent −
     delta_decohered. Rows are ordered by (grid index, outcome label). A
     zero-probability outcome at one point is recorded as an error string
-    and does not abort the sweep. The model is compiled and L_S decomposed
-    once for the whole grid.
+    and does not abort the sweep.
+
+    The G states form one (G, 2, 2) stack, pinched by one ``decohere``
+    call; each stack is evaluated by one ``CompiledModel.conditional_changes``
+    call, whose rows carry the arithmetic, zero-probability test and
+    error text of ``BranchValues.report``.
     """
     if scenario.conserved is None:
         raise ScenarioError("conserved", "phase sweeps need a conserved quantity for the decohered branch")
-    model = scenario.model
-    compiled = CompiledModel(model, scenario.observable)
-    spectral = hermitian_eig(scenario.conserved.system_part.matrix)
+    compiled = CompiledModel(scenario.model, scenario.observable)
+    states = scenario.system_states(grid)
+    p, delta = (a.tolist() for a in compiled.conditional_changes(states))
+    decohered = decohere(states, scenario.conserved.system_spectrum)
+    p_dec, delta_dec = (a.tolist() for a in compiled.conditional_changes(decohered))
+    labels = scenario.model.outcomes
+    order = sorted(range(len(labels)), key=labels.__getitem__)
     records: list[SweepRecord] = []
     errors: list[str] = []
-    for phi in grid:
-        state = scenario.system_state(float(phi))
-        values = compiled.evaluate(state)
-        values_dec = compiled.evaluate(DensityState(decohere(state.matrix, spectral)))
-        for outcome in sorted(model.outcomes):
-            try:
-                rep = values[outcome].report()
-                rep_dec = values_dec[outcome].report()
-            except ZeroProbabilityOutcome as exc:
-                errors.append(f"phi={fmt(phi)} outcome={outcome}: {exc}")
+    for g, phi in enumerate(grid.tolist()):
+        for i in order:
+            low = next((q[g][i] for q in (p, p_dec) if not q[g][i] > P_FLOOR), None)
+            if low is not None:
+                errors.append(f"phi={fmt(phi)} outcome={labels[i]}: {ZeroProbabilityOutcome(labels[i], low)}")
                 continue
-            records.append(
-                SweepRecord(
-                    phi=float(phi),
-                    outcome=outcome,
-                    probability=rep.probability,
-                    delta_coherent=rep.delta,
-                    delta_decohered=rep_dec.delta,
-                    difference=rep.delta - rep_dec.delta,
-                )
-            )
+            d, d_dec = delta[g][i], delta_dec[g][i]
+            records.append(SweepRecord(phi, labels[i], p[g][i], d, d_dec, d - d_dec))
     return records, errors
 
 
@@ -176,7 +171,8 @@ def run_report(scenario: Scenario, tol: float) -> dict:
     """Full structured report for one scenario at its own phase."""
     model, observable = scenario.model, scenario.observable
     state = scenario.system_state()
-    values = CompiledModel(model, observable).evaluate(state)
+    compiled = CompiledModel(model, observable)
+    values = compiled.evaluate(state)
     outcomes = []
     for outcome in sorted(model.outcomes):
         branch = values[outcome]
@@ -209,7 +205,7 @@ def run_report(scenario: Scenario, tol: float) -> dict:
         "averages": {"before": before, "after": after},
     }
     if scenario.conserved is not None:
-        verdicts = verify_theorems(model, state, observable, scenario.conserved, tol)
+        verdicts = verify_theorems(model, state, observable, scenario.conserved, tol, _compiled=compiled)
         theorem1 = verdicts["theorem1"]
         checks = {
             "conservation": theorem1.hypotheses["conservation"],
@@ -415,15 +411,16 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
     worst = 0.0
     for _ in range(20):
         dim = int(rng.integers(2, 7))
-        l_op = ObservableOp(random_hermitian(dim, rng))
+        l_op = random_hermitian(dim, rng)
+        spectrum = hermitian_eig(l_op)
         a = random_density(dim, rng).matrix
-        pinched = decohere(a, l_op)
-        worst = max(worst, frob(decohere(pinched, l_op) - pinched))
+        pinched = decohere(a, spectrum)
+        worst = max(worst, frob(decohere(pinched, spectrum) - pinched))
         worst = max(worst, abs(np.trace(pinched).real - np.trace(a).real))
-        worst = max(worst, frob(pinched @ l_op.matrix - l_op.matrix @ pinched))
+        worst = max(worst, frob(pinched @ l_op - l_op @ pinched))
         worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(pinched).min())))
-        commuting = l_op.matrix @ l_op.matrix
-        worst = max(worst, frob(decohere(commuting, l_op) - commuting))
+        commuting = l_op @ l_op
+        worst = max(worst, frob(decohere(commuting, spectrum) - commuting))
     checks.append(("decoherence_algebra", worst, 1e-10))
 
     # Blocked closed-form unitary against the spectral exponential.

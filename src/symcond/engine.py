@@ -21,7 +21,8 @@ state, so :class:`CompiledModel` builds them once and evaluates any
 number of states against them. It is the one evaluation route:
 ``CompiledModel(model, observable).evaluate(state)[x].report()`` gives
 p(x), before(x), after(x) and their change, and :func:`outcome_averages`
-folds an evaluation into the two outcome averages.
+folds an evaluation into the two outcome averages. A (G, d_s, d_s) stack
+of states is evaluated in one call by :meth:`CompiledModel.conditional_changes`.
 
 The compile never forms U†(O ⊗ P^x)U. The partial trace over A is cyclic
 for apparatus-only factors, so with G = U(1 ⊗ ϱ) and V = (O† ⊗ 1)U
@@ -76,6 +77,11 @@ P_FLOOR = 1e-12
 
 class ZeroProbabilityOutcome(ValueError):
     """Raised when a conditional value is requested at p(x) not above P_FLOOR."""
+
+    def __init__(self, outcome: str, probability: float):
+        super().__init__(
+            f"outcome {outcome!r} has probability {probability:.3e}, not above {P_FLOOR:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -174,10 +180,24 @@ def induced_povm(model: MeasurementModel) -> EffectSet:
 
 def _checked_probability(p: float, outcome: str) -> float:
     if not p > P_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {outcome!r} has probability {p:.3e}, not above {P_FLOOR:.0e}"
-        )
+        raise ZeroProbabilityOutcome(outcome, p)
     return p
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    """``min(max(p, 0.0), 1.0)`` entry by entry, as born_probability clamps
+    (NaN and −0.0 come through as they do there)."""
+    p = np.where(0.0 > p, 0.0, p)
+    return np.where(1.0 < p, 1.0, p)
+
+
+def _conditional(p, weak_numerator_real, after_numerator):
+    """(before, after, delta) from p(x) and the two numerators; floats or
+    arrays alike, so a sweep's rows and :meth:`BranchValues.report` share
+    one arithmetic."""
+    before = weak_numerator_real / p
+    after = after_numerator / p
+    return before, after, after - before
 
 
 @dataclass(frozen=True)
@@ -192,10 +212,9 @@ class BranchValues:
     def report(self) -> ConditionalReport:
         """Before/after/delta; raises ZeroProbabilityOutcome at p not above P_FLOOR."""
         p = _checked_probability(self.probability, self.outcome)
-        before = self.weak_numerator.real / p
-        after = self.after_numerator / p
+        before, after, delta = _conditional(p, self.weak_numerator.real, self.after_numerator)
         return ConditionalReport(
-            outcome=self.outcome, probability=p, before=before, after=after, delta=after - before
+            outcome=self.outcome, probability=p, before=before, after=after, delta=delta
         )
 
 
@@ -208,7 +227,8 @@ class CompiledModel:
     4n²·d_s + n²·d_a for a diagonal pointer, whatever the number of
     outcomes).
     :meth:`evaluate` then costs one stacked d_s×d_s product per state,
-    whatever the apparatus dimension.
+    whatever the apparatus dimension; :meth:`traces`, the kernel under it,
+    takes a (G, d_s, d_s) stack of states as readily as one state.
     """
 
     def __init__(self, model: MeasurementModel, observable: ObservableOp):
@@ -217,20 +237,40 @@ class CompiledModel:
         m, k = branch_operators(model, (np.eye(model.dim_s), o))
         self._operators = np.concatenate([m, m @ o, k])
 
+    def traces(self, states: np.ndarray) -> np.ndarray:
+        """The stacked traces of one state (d_s, d_s) or a stack (G, d_s, d_s).
+
+        Returns shape (3, |X|) or (G, 3, |X|): rows tr[M(x)ρ], tr[M(x)Oρ]
+        and tr[K(x)ρ], outcomes in model order. Each is the trace of one
+        product, so a state gives the same numbers alone or in a stack.
+        """
+        states = np.asarray(states)
+        traces = np.trace(self._operators @ states[..., None, :, :], axis1=-2, axis2=-1)
+        return traces.reshape(*states.shape[:-2], 3, len(self.outcomes))
+
     def evaluate(self, state: DensityState) -> dict[str, BranchValues]:
         """p(x), tr[M(x)Oρ] and Re tr[K(x)ρ] for every outcome, keyed by label
-        in outcome order."""
-        traces = np.trace(self._operators @ state.matrix, axis1=1, axis2=2).tolist()
-        n = len(self.outcomes)
+        in outcome order: the (3, |X|) :meth:`traces` of one d_s×d_s state,
+        p clamped to [0, 1]. For a (G, d_s, d_s) stack use :meth:`traces`
+        or :meth:`conditional_changes`, which give the same numbers."""
+        traces = self.traces(state.matrix)
+        probability = _clamped(traces[0].real).tolist()
+        weak, after = traces[1].tolist(), traces[2].real.tolist()
         return {
-            x: BranchValues(
-                outcome=x,
-                probability=min(max(traces[i].real, 0.0), 1.0),
-                weak_numerator=traces[n + i],
-                after_numerator=traces[2 * n + i].real,
-            )
+            x: BranchValues(x, probability[i], weak_numerator=weak[i], after_numerator=after[i])
             for i, x in enumerate(self.outcomes)
         }
+
+    def conditional_changes(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p(x) and the change after(x) − before(x) for a (G, d_s, d_s) stack
+        of states, both of shape (G, |X|), by the arithmetic of
+        :meth:`BranchValues.report`. Where p is not above P_FLOOR the change
+        is meaningless (and raises no warning); callers test p."""
+        traces = self.traces(states)
+        p = _clamped(traces[..., 0, :].real)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, _, delta = _conditional(p, traces[..., 1, :].real, traces[..., 2, :].real)
+        return p, delta
 
 
 def outcome_averages(values: dict[str, BranchValues]) -> tuple[float, float]:

@@ -148,9 +148,16 @@ class QubitCoherentState:
     phase: float = 0.0
 
     def vector(self) -> np.ndarray:
-        return np.array(
-            [np.exp(1j * self.phase) * sin(self.polar / 2), cos(self.polar / 2)],
-            dtype=complex,
+        return self.vectors(self.phase)
+
+    def vectors(self, phases) -> np.ndarray:
+        """The family's vectors at each of ``phases`` (this state's own
+        phase is not used), stacked along the leading axes: shape
+        (*phases.shape, 2)."""
+        phases = np.asarray(phases, dtype=float)
+        return np.stack(
+            [np.exp(1j * phases) * sin(self.polar / 2), np.full(phases.shape, cos(self.polar / 2))],
+            axis=-1,
         )
 
 

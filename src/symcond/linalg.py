@@ -9,7 +9,8 @@ tolerance conventions shared by all modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,10 @@ def ensure_hermitian(a: np.ndarray, tol: float = SYMMETRIZE_TOL) -> np.ndarray:
 
     Symmetrization is silent while ``‖a − a†‖_F < tol``; a defect at or
     above ``tol`` raises, since downstream spectral formulas assume exact
-    self-adjointness.
+    self-adjointness. A NaN anywhere makes the defect NaN, which raises too.
     """
     defect = frob(a - dagger(a))
-    if defect >= tol:
+    if not defect < tol:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} >= tolerance {tol:.3e}"
         )
@@ -114,51 +115,86 @@ def cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     Returns an integer label per entry; entries whose gap to the previous
     one is below ``tol`` share a label. Input must be sorted ascending.
     """
-    values = np.asarray(values, dtype=float)
-    labels = np.zeros(len(values), dtype=int)
-    for i in range(1, len(values)):
-        labels[i] = labels[i - 1] + (1 if values[i] - values[i - 1] >= tol else 0)
-    return labels
+    steps = np.diff(np.asarray(values, dtype=float)) >= tol
+    return np.concatenate(([0], np.cumsum(steps))).astype(int)[: len(values)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigensystem of a Hermitian matrix.
+    """Clustered eigensystem of a d×d Hermitian matrix h.
 
     ``eigenvalues`` holds one representative (cluster mean) per distinct
-    eigenvalue, ascending; ``projectors`` the matching orthogonal
-    projectors, which sum to the identity.
+    eigenvalue, ascending. ``vectors`` is the unitary V whose columns are
+    eigenvectors of h, and ``labels[j]`` the index into ``eigenvalues`` of
+    column j. When h is diagonal ``vectors`` is None: its eigenvectors are
+    the standard basis vectors in their natural order, so V = 1 and
+    ``labels[j]`` belongs to basis vector j.
+
+    The spectral projectors are Q^l = Σ_{j: labels[j] = l} v_j v_j†, so
+    with the mask m_jk = [labels[j] = labels[k]] the pinching is
+
+        Σ_l Q^l a Q^l = V (m ∘ V†aV) V†,
+
+    which ``symmetry.decohere`` forms from ``labels`` and ``vectors`` in
+    O(d²) memory per matrix (the mask alone when h is diagonal).
     """
 
     eigenvalues: np.ndarray
-    projectors: list[np.ndarray] = field(default_factory=list)
+    labels: np.ndarray
+    vectors: np.ndarray | None = None
+
+    @property
+    def basis(self) -> np.ndarray:
+        """V as a dense matrix (the identity when h is diagonal)."""
+        return np.eye(len(self.labels), dtype=complex) if self.vectors is None else self.vectors
+
+    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
+        """V†aV over the last two axes (``a`` itself when h is diagonal)."""
+        if self.vectors is None:
+            return a
+        return dagger(self.vectors) @ a @ self.vectors
+
+    @cached_property
+    def projectors(self) -> list[np.ndarray]:
+        """The dense Q^l, one d×d matrix per eigenvalue, built on first use.
+
+        They sum to the identity. Only the blockwise oracle and tests read
+        them; pinching never does.
+        """
+        columns = (self.basis[:, self.labels == lab] for lab in range(len(self.eigenvalues)))
+        return [c @ dagger(c) for c in columns]
 
 
 def hermitian_eig(h: np.ndarray, tol: float = SYMMETRIZE_TOL) -> SpectralDecomposition:
     """Clustered spectral decomposition of a Hermitian matrix.
 
     Eigenvalues within ``cluster_tolerance`` of each other are merged into
-    a single degenerate projector, so exact degeneracies broken only by
-    round-off come back as one spectral projection.
+    one cluster, so exact degeneracies broken only by round-off come back
+    as one spectral projection. A diagonal matrix (every number operator
+    is one) skips ``eigh``: its eigenvalues are its diagonal and its
+    eigenvectors the standard basis (``vectors`` is None). Otherwise the
+    eigenvectors are ``eigh``'s, in ascending eigenvalue order.
 
     Parameters
     ----------
     h : ndarray
-        Matrix to decompose; Hermitian within ``tol`` (symmetrized first).
+        Matrix to decompose; Hermitian within ``tol`` (symmetrized first;
+        a NaN entry raises ValueError).
     tol : float
         Largest acceptable Hermitian defect.
     """
     h = ensure_hermitian(as_matrix(h), tol)
-    w, v = np.linalg.eigh(h)
-    labels = cluster_labels(w, cluster_tolerance(w))
-    eigenvalues = []
-    projectors = []
-    for lab in range(labels[-1] + 1 if len(labels) else 0):
-        idx = np.flatnonzero(labels == lab)
-        block = v[:, idx]
-        eigenvalues.append(float(w[idx].mean()))
-        projectors.append(block @ dagger(block))
-    return SpectralDecomposition(np.array(eigenvalues), projectors)
+    if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):
+        diagonal = h.diagonal().real
+        order = np.argsort(diagonal, kind="stable")
+        w, v = diagonal[order], None
+    else:
+        (w, v), order = np.linalg.eigh(h), np.arange(len(h))
+    sorted_labels = cluster_labels(w, cluster_tolerance(w))
+    clusters = np.split(w, np.flatnonzero(np.diff(sorted_labels)) + 1)
+    labels = np.empty_like(sorted_labels)
+    labels[order] = sorted_labels
+    return SpectralDecomposition(np.array([c.mean() for c in clusters if len(c)]), labels, v)
 
 
 def unitary_from_generator(h: np.ndarray, theta: float) -> np.ndarray:

@@ -114,12 +114,18 @@ class Scenario:
             if self._fixed_state is not None:
                 return self._fixed_state
             return qubit_coherent_state(self._coherent_family)
+        return DensityState(self.system_states(phase))
+
+    def system_states(self, phases) -> np.ndarray:
+        """The coherent system state at each of ``phases``, stacked: shape
+        (G, 2, 2) for G phases, entry g equal to ``system_state(phases[g])``;
+        a single phase gives one 2×2 matrix."""
         if self._coherent_family is None:
             raise ScenarioError(
                 "system_state", "phase sweeps need a coherent (parametric) system state"
             )
-        family = self._coherent_family
-        return qubit_coherent_state(QubitCoherentState(polar=family.polar, phase=phase))
+        v = self._coherent_family.vectors(phases)
+        return v[..., :, None] * v.conj()[..., None, :]
 
 
 def _require(node: dict, key: str, path: str):

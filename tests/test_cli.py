@@ -15,8 +15,11 @@ from symcond.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    SweepRecord,
     main,
     run_report,
+    selftest_checks,
+    sweep_records,
 )
 from symcond.sampling import random_density, random_diagonal_observable, random_number_conserving_model
 from symcond.scenario import matrix_to_pairs
@@ -279,7 +282,7 @@ def test_jaynes_cummings_size_is_bounded_before_building(tmp_path, capsys):
     assert "2048" in captured.err
 
 
-@pytest.mark.parametrize("command, max_compiles", [(["run", FIG1], 3), (["theorems", FIG1], 2)])
+@pytest.mark.parametrize("command, max_compiles", [(["run", FIG1], 2), (["theorems", FIG1], 2)])
 def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, capsys):
     import symcond.cli
     import symcond.symmetry
@@ -324,6 +327,69 @@ def test_sweep_grid_must_be_finite_with_two_points(flags, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {field}: " in captured.err
+
+
+def per_point_sweep(scenario, grid):
+    """The sweep evaluated one grid point and one outcome at a time, through
+    evaluate() and report(): the reference for the stacked sweep."""
+    from symcond import CompiledModel, DensityState, ZeroProbabilityOutcome, decohere
+
+    compiled = CompiledModel(scenario.model, scenario.observable)
+    records, errors = [], []
+    for phi in grid:
+        state = scenario.system_state(float(phi))
+        values = compiled.evaluate(state)
+        values_dec = compiled.evaluate(DensityState(decohere(state.matrix, scenario.conserved.system_part)))
+        for outcome in sorted(scenario.model.outcomes):
+            try:
+                rep, rep_dec = values[outcome].report(), values_dec[outcome].report()
+            except ZeroProbabilityOutcome as exc:
+                errors.append(f"phi={format(float(phi), '.17g')} outcome={outcome}: {exc}")
+                continue
+            records.append(
+                SweepRecord(float(phi), outcome, rep.probability, rep.delta, rep_dec.delta, rep.delta - rep_dec.delta)
+            )
+    return records, errors
+
+
+@pytest.mark.parametrize("zero_outcome", [False, True])
+def test_stacked_sweep_equals_per_point_reports(zero_outcome, tmp_path):
+    # Same rows, values, error lines and order as evaluating each point
+    # alone. With both qubits in |0⟩ the "+" outcome has p ≈ 0 everywhere.
+    doc = fig1_doc()
+    if zero_outcome:
+        doc["system_state"]["coherent"]["polar"] = np.pi
+        doc["model"]["apparatus_state"]["coherent"]["polar"] = np.pi
+    scenario = load_scenario(write_doc(tmp_path, doc))
+    grid = np.linspace(-1.3, 7.9, 37)
+    records, errors = sweep_records(scenario, grid)
+    assert (records, errors) == per_point_sweep(scenario, grid)
+    assert bool(errors) == zero_outcome
+
+
+def test_selftest_decomposes_each_random_observable_once(monkeypatch):
+    import symcond.cli
+    import symcond.linalg
+    import symcond.symmetry
+
+    # Only the decoherence-algebra check decomposes non-diagonal operators
+    # (the other checks pinch by number operators). Each of its 20 random
+    # L must be decomposed once, not once per pinching.
+    dense = []
+    real = symcond.linalg.hermitian_eig
+
+    def counting(h, *args):
+        h = np.asarray(h)
+        if np.count_nonzero(h - np.diag(np.diagonal(h))):
+            dense.append(h.tobytes())
+        return real(h, *args)
+
+    monkeypatch.setattr(symcond.cli, "hermitian_eig", counting, raising=False)
+    monkeypatch.setattr(symcond.symmetry, "hermitian_eig", counting)
+    checks = {name: residual for name, residual, _ in selftest_checks(42)}
+    assert checks["decoherence_algebra"] < 1e-10
+    assert len(dense) == 20
+    assert len(set(dense)) == 20
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

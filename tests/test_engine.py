@@ -378,3 +378,33 @@ def test_average_after_matches_heisenberg_mean():
         want = np.trace(kron(obs.matrix, np.eye(model.dim_a)) @ evolved).real
         _, after = outcome_averages(CompiledModel(model, obs).evaluate(rho))
         assert after == pytest.approx(want, abs=1e-10)
+
+
+def test_stacked_evaluation_equals_each_state():
+    # One call on a (G, d_s, d_s) stack gives, state by state, the very
+    # traces and conditional values of evaluate() and report().
+    rng = np.random.default_rng(1230)
+    model = random_model(3, 4, rng)
+    compiled = CompiledModel(model, random_observable(3, rng))
+    states = [random_density(3, rng) for _ in range(7)]
+    stack = np.stack([s.matrix for s in states])
+    traces = compiled.traces(stack)
+    assert traces.shape == (7, 3, len(model.outcomes))
+    p, delta = compiled.conditional_changes(stack)
+    for g, state in enumerate(states):
+        assert np.array_equal(traces[g], compiled.traces(state.matrix))
+        for i, (label, branch) in enumerate(compiled.evaluate(state).items()):
+            rep = branch.report()
+            assert (p[g, i], delta[g, i]) == (rep.probability, rep.delta)
+
+
+def test_stacked_changes_flag_zero_probability_rows():
+    model = identity_model(np.diag([1.0, 0.0]).astype(complex))
+    compiled = CompiledModel(model, ObservableOp(np.diag([1.0, -1.0]).astype(complex)))
+    stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
+    p, delta = compiled.conditional_changes(stack)
+    # Outcome "+" reads apparatus level 1, which ϱ never populates.
+    assert p[:, 1].tolist() == [0.0, 0.0]
+    assert np.isfinite(delta[:, 0]).all()
+    with pytest.raises(ZeroProbabilityOutcome, match="'\\+' has probability 0.000e\\+00"):
+        compiled.evaluate(DensityState(stack[0]))["+"].report()

@@ -12,6 +12,7 @@ from symcond.linalg import (
     cluster_labels,
     cluster_tolerance,
     commutator,
+    ensure_hermitian,
     frob,
     hermitian_eig,
     kron,
@@ -185,3 +186,38 @@ def test_commutator_antisymmetry():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert_allclose(commutator(a, b), -commutator(b, a), atol=1e-12)
+
+
+def test_nan_is_never_symmetrized_away():
+    # A NaN defect compares false with the tolerance; it must raise, not
+    # pass as Hermitian, on the eigh route and on the diagonal route.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ensure_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "diagonal", [[0.0, 1.0, 2.0, 3.0], [2.0, 0.0, 1.0, 1.0, 0.0], [1.0, 0.0], [5.0, 5.0, 5.0]]
+)
+def test_hermitian_eig_diagonal_route_matches_eigh(diagonal):
+    # A diagonal matrix skips eigh; its clusters, eigenvalues and lazy
+    # projectors are the ones eigh's decomposition gives.
+    h = np.diag(diagonal).astype(complex)
+    dec = hermitian_eig(h)
+    assert dec.vectors is None
+    w, v = np.linalg.eigh(h)
+    labels = cluster_labels(w, cluster_tolerance(w))
+    assert_allclose(dec.eigenvalues, [w[labels == k].mean() for k in range(labels[-1] + 1)], rtol=0, atol=0)
+    for k, q in enumerate(dec.projectors):
+        block = v[:, labels == k]
+        assert np.array_equal(q, block @ block.conj().T)
+    assert dec.eigenvalues[dec.labels].tolist() == diagonal
+
+
+def test_cluster_labels_merge_gaps_below_tolerance():
+    values = np.array([0.0, 1e-12, 1.0, 1.0 + 5e-10, 2.0, 3.0])
+    assert cluster_labels(values, 1e-9).tolist() == [0, 0, 1, 1, 2, 3]
+    assert cluster_labels(np.array([]), 1e-9).tolist() == []

@@ -1,0 +1,32 @@
+"""Smoke test of the scaling script at its smallest size (timings are not gated)."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_scaling_script_writes_its_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "scaling.py"), "--sizes", "2x2", "--repeat", "1", "--out", str(out)],
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    report = json.loads(out.read_text())
+    assert report["schema"] == "symcond-scaling/1"
+    assert report["commands"] == ["run", "theorems"]
+    assert {"python", "numpy", "blas", "blas_threads", "nproc", "cpu"} <= set(report["fingerprint"])
+    (case,) = report["sides"]["change"]["cases"]
+    assert (case["dim_s"], case["dim_a"], case["n"]) == (2, 2, 4)
+    for command in ("run", "theorems"):
+        entry = case[command]
+        assert entry["exit"] == [0]
+        assert entry["wall_s_median"] > 0 and entry["peak_rss_mb_max"] > 0
+        (sample,) = entry["samples"]
+        assert len(sample["stdout_sha256"]) == 64

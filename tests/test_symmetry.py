@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -29,11 +31,12 @@ from symcond import (
     verify_theorems,
 )
 from symcond.jaynes_cummings import number_operator, number_pointer
-from symcond.linalg import frob, kron
+from symcond.linalg import frob, hermitian_eig, kron
 from symcond.sampling import (
     random_density,
     random_diagonal_density,
     random_diagonal_observable,
+    random_hermitian,
     random_number_conserving_model,
     random_pointer,
     random_unitary,
@@ -86,6 +89,120 @@ def test_decohere_is_idempotent_and_preserves_structure():
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() > -1e-12
         assert frob(out @ l - l @ out) < 1e-9
+
+
+def test_decohere_rejects_a_nan_conserved_quantity():
+    # A NaN L must not read as "nothing to pinch" and return a unchanged.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        decohere(np.eye(2), np.diag([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_decohere_keeps_a_non_finite_entry_outside_the_blocks(bad):
+    # Σ_l Q^l a Q^l gives NaN for a non-finite entry (0·NaN); the diagonal
+    # mask route must not zero it into a clean block-diagonal matrix.
+    a = np.eye(4, dtype=complex) / 4
+    a[0, 3] = bad
+    for l in (number_operator(4), rotated_hermitian(np.random.default_rng(3), [0.0, 1.0, 1.0, 2.0])):
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(decohere(a, l)).all()
+            assert not np.isfinite(decohere(a[None], l)).all()
+
+
+def rotated_hermitian(rng: np.random.Generator, levels: list[float]) -> np.ndarray:
+    """W diag(levels) W† for a random unitary W: degenerate clusters rotated
+    off the standard basis."""
+    g = rng.normal(size=(len(levels), len(levels))) + 1j * rng.normal(size=(len(levels), len(levels)))
+    w, _ = np.linalg.qr(g)
+    return w @ np.diag(levels) @ w.conj().T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mask_pinch_equals_projector_sum(seed):
+    # V (m ∘ V†aV) V† against Σ_l Q^l a Q^l from the lazily built projectors.
+    rng = np.random.default_rng(1200 + seed)
+    levels = [0.0, 0.0, 1.0, 2.5, 2.5, 2.5, -1.0]
+    a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    dec = hermitian_eig(rotated_hermitian(rng, levels))
+    assert len(dec.eigenvalues) == 4 and dec.vectors is not None
+    assert frob(decohere(a, dec) - sum(q @ a @ q for q in dec.projectors)) < 1e-12
+    # A diagonal L pinches by the elementwise mask alone, exactly.
+    diag = hermitian_eig(np.diag(rng.permutation(levels)))
+    assert diag.vectors is None
+    assert np.array_equal(decohere(a, diag), sum(q @ a @ q for q in diag.projectors))
+
+
+def test_decohere_stack_equals_each_matrix():
+    rng = np.random.default_rng(1220)
+    rotated = rotated_hermitian(rng, [0.0, 1.0, 1.0, 3.0])
+    stack = np.stack([random_density(4, rng).matrix for _ in range(6)])
+    for l in (rotated, np.diag([1.0, 0.0, 1.0, 2.0]), ObservableOp(rotated)):
+        pinched = decohere(stack, l)
+        assert pinched.shape == stack.shape
+        for k in range(len(stack)):
+            assert_allclose(pinched[k], decohere(stack[k], l), rtol=0, atol=1e-14)
+
+
+def test_decohere_by_a_number_operator_needs_no_projectors():
+    # Pinching by N_A pinches elementwise: memory stays a few d×d arrays
+    # where one dense projector per level would take d³·16 bytes (268 MB).
+    d = 256
+    rng = np.random.default_rng(1221)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    l = number_operator(d)
+    tracemalloc.start()
+    try:
+        out = decohere(a, l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * d * d * 16
+    assert np.array_equal(out, np.diag(np.diagonal(a)))
+
+
+def _dense_symmetric_residual(state_s, state_a, quantity) -> float:
+    """The transpose-invariance residual formed on the dense n×n product."""
+    _, vs = np.linalg.eigh(quantity.system_part.matrix)
+    _, va = np.linalg.eigh(quantity.apparatus_part.matrix)
+    basis = kron(vs, va)
+    x = basis.conj().T @ kron(state_s.matrix, state_a.matrix) @ basis
+    return frob(x - x.T)
+
+
+def test_check_symmetric_product_state_matches_dense_formula():
+    rng = np.random.default_rng(1222)
+    degenerate = ObservableOp(rotated_hermitian(rng, [0.0, 1.0, 1.0]))
+    quantities = [
+        ConservedQuantity(number_operator(2), number_operator(4)),
+        ConservedQuantity(degenerate, number_operator(4)),
+        ConservedQuantity(number_operator(3), ObservableOp(random_hermitian(4, rng))),
+        ConservedQuantity(degenerate, ObservableOp(np.diag([2.0, 0.0, 1.0, 1.0]))),
+    ]
+    for q in quantities:
+        ds, da = q.system_part.dim, q.apparatus_part.dim
+        for _ in range(5):
+            rho, xi = random_density(ds, rng), random_density(da, rng)
+            want = _dense_symmetric_residual(rho, xi, q)
+            assert abs(check_symmetric_product_state(rho, xi, q) - want) < 1e-12
+
+
+def test_conserved_quantity_is_decomposed_once(monkeypatch):
+    # L_S and L_A are each diagonalized once, and both pinchings, both
+    # symmetric-state residuals and the cross-element check read that one
+    # decomposition. (Non-diagonal parts, so eigh runs; the hypotheses
+    # need not hold for every residual to be measured.)
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return real(h, *args, **kwargs)
+
+    setup = load_scenario(fig1_scenario_path())
+    quantity = ConservedQuantity(ObservableOp(SIGMA_X), ObservableOp(SIGMA_X))
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    verify_theorems(setup.model, setup.system_state(0.3), setup.observable, quantity)
+    assert calls == [(2, 2), (2, 2)]
 
 
 def test_check_conservation_jc_family():

@@ -1,0 +1,195 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of ``symcond run`` and ``symcond theorems``
+over Jaynes-Cummings sizes.
+
+    python3 tools/scaling.py --out BENCH_12.json
+    python3 tools/scaling.py --side parent=../parent/src --side change=src --out BENCH_12.json
+    python3 tools/scaling.py --sizes 2x2 --repeat 1 --out /tmp/smoke.json
+
+Each case is a seeded JC scenario (default one-outcome-per-level pointer,
+full-rank random apparatus state, conserved excitation number) written to
+a temporary directory. Every (side, case, command) runs ``--repeat`` times
+in a fresh interpreter with ``PYTHONPATH`` set to the side's source tree
+and BLAS on one thread; the wall time and the child's own peak resident
+memory (``os.wait4``) of every run are recorded, with the sha256 of its
+stdout so sides can be checked for identical output. Sides alternate
+within each case, so host-speed drift hits them alike.
+
+Two legs: a narrow system (dim_s = 2, dim_a up to 256, n up to 512) and a
+wide one (dim_s up to 128). Timings are recorded, never gated.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the scenario documents are written with this checkout's helpers
+
+from symcond.sampling import random_density  # noqa: E402
+from symcond.scenario import matrix_to_pairs  # noqa: E402
+
+LEGS = {
+    "narrow": ((2, 2), (2, 8), (2, 32), (2, 64), (2, 128), (2, 256)),
+    "wide": ((4, 16), (8, 32), (16, 32), (32, 16), (128, 4)),
+}
+COMMANDS = ("run", "theorems")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SCHEMA = "symcond-scaling/1"
+SEED = 0  # of the generated scenarios
+
+
+def scenario_document(dim_s: int, dim_a: int) -> str:
+    """A JC scenario whose hypotheses hold except where the random states break them."""
+    rng = np.random.default_rng([SEED, dim_s, dim_a])
+    model = {
+        "kind": "jaynes-cummings",
+        "dim_s": dim_s,
+        "dim_a": dim_a,
+        "theta": 0.9,
+        "apparatus_state": {"matrix": matrix_to_pairs(random_density(dim_a, rng).matrix)},
+    }
+    if dim_s == 2:
+        system_state = {"coherent": {"polar": 0.8, "phase": 0.3}}
+        observable = "sigma_z"
+    else:
+        system_state = {"matrix": matrix_to_pairs(random_density(dim_s, rng).matrix)}
+        observable = {"matrix": matrix_to_pairs(np.diag(np.arange(dim_s, dtype=float)))}
+    doc = {"model": model, "system_state": system_state, "observable": observable, "tolerance": 1e-9}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def timed_run(argv: list[str], env: dict[str, str]) -> dict:
+    """Wall seconds, peak RSS (MB) and stdout digest of one child process."""
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        digest = hashlib.sha256(out.read()).hexdigest()
+    return {
+        "wall_s": round(wall, 4),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KB on Linux
+        "exit": proc.returncode,
+        "stdout_sha256": digest,
+    }
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def fingerprint() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_version = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas_version = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_version,
+        "blas_threads": 1,
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": cpu_model(),
+        "platform": platform.platform(),
+    }
+
+
+def parse_sizes(text: str) -> list[tuple[str, int, int]]:
+    sizes = []
+    for item in text.split(","):
+        ds, da = (int(v) for v in item.lower().split("x"))
+        sizes.append(("custom", ds, da))
+    return sizes
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument(
+        "--side",
+        action="append",
+        default=None,
+        help="LABEL=SRC: a source tree to measure (repeatable; default change=<this checkout>/src)",
+    )
+    parser.add_argument("--sizes", default=None, help="comma-separated DSxDA list instead of both legs")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per (side, case, command)")
+    args = parser.parse_args(argv)
+
+    sides = {}
+    for item in args.side or [f"change={ROOT / 'src'}"]:
+        label, _, src = item.partition("=")
+        sides[label] = Path(src).resolve()
+    cases = parse_sizes(args.sizes) if args.sizes else [
+        (leg, ds, da) for leg, sizes in LEGS.items() for ds, da in sizes
+    ]
+    env_base = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+
+    results = {label: {"cases": []} for label in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        for leg, ds, da in cases:
+            path = Path(tmp) / f"jc_{ds}x{da}.scenario"
+            path.write_text(scenario_document(ds, da), encoding="utf-8")
+            runs = {label: {cmd: [] for cmd in COMMANDS} for label in sides}
+            for r in range(args.repeat):
+                order = list(sides) if r % 2 == 0 else list(reversed(sides))
+                for label in order:
+                    env = dict(env_base, PYTHONPATH=str(sides[label]))
+                    for cmd in COMMANDS:
+                        argv_ = [sys.executable, "-m", "symcond", cmd, str(path)]
+                        runs[label][cmd].append(timed_run(argv_, env))
+            for label in sides:
+                entry = {"leg": leg, "dim_s": ds, "dim_a": da, "n": ds * da}
+                for cmd, samples in runs[label].items():
+                    entry[cmd] = {
+                        "wall_s_median": statistics.median(s["wall_s"] for s in samples),
+                        "peak_rss_mb_max": max(s["peak_rss_mb"] for s in samples),
+                        "exit": sorted({s["exit"] for s in samples}),
+                        "stdout_sha256": sorted({s["stdout_sha256"] for s in samples}),
+                        "samples": samples,
+                    }
+                results[label]["cases"].append(entry)
+                print(
+                    f"{label:>8} {leg:>6} {ds:>3}x{da:<3} "
+                    + " ".join(
+                        f"{cmd} {entry[cmd]['wall_s_median']:.3f}s/{entry[cmd]['peak_rss_mb_max']:.0f}MB"
+                        for cmd in COMMANDS
+                    ),
+                    file=sys.stderr,
+                )
+
+    report = {
+        "schema": SCHEMA,
+        "commands": list(COMMANDS),
+        "repeat": args.repeat,
+        "seed": SEED,
+        "fingerprint": fingerprint(),
+        "sides": results,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
