@@ -47,6 +47,7 @@ from .sampling import (
     random_observable,
 )
 from .scenario import (
+    MAX_SWEEP_ROWS,
     InvariantViolation,
     Scenario,
     ScenarioError,
@@ -99,17 +100,17 @@ def sweep_records(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecor
     and does not abort the sweep.
 
     The G states form one (G, 2, 2) stack, pinched by one ``decohere``
-    call; each stack is evaluated by one ``CompiledModel.conditional_changes``
-    call, whose rows carry the arithmetic, zero-probability test and
-    error text of ``BranchValues.report``.
+    call; each stack is evaluated by one ``CompiledModel.conditional_values``
+    call, and the rows carry the arithmetic (delta = after − before),
+    zero-probability test and error text of ``BranchValues.report``.
     """
     if scenario.conserved is None:
         raise ScenarioError("conserved", "phase sweeps need a conserved quantity for the decohered branch")
     compiled = CompiledModel(scenario.model, scenario.observable)
     states = scenario.system_states(grid)
-    p, delta = (a.tolist() for a in compiled.conditional_changes(states))
+    p, before, after = (a.tolist() for a in compiled.conditional_values(states))
     decohered = decohere(states, scenario.conserved.system_spectrum)
-    p_dec, delta_dec = (a.tolist() for a in compiled.conditional_changes(decohered))
+    p_dec, before_dec, after_dec = (a.tolist() for a in compiled.conditional_values(decohered))
     labels = scenario.model.outcomes
     order = sorted(range(len(labels)), key=labels.__getitem__)
     records: list[SweepRecord] = []
@@ -120,7 +121,7 @@ def sweep_records(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecor
             if low is not None:
                 errors.append(f"phi={fmt(phi)} outcome={labels[i]}: {ZeroProbabilityOutcome(labels[i], low)}")
                 continue
-            d, d_dec = delta[g][i], delta_dec[g][i]
+            d, d_dec = after[g][i] - before[g][i], after_dec[g][i] - before_dec[g][i]
             records.append(SweepRecord(phi, labels[i], p[g][i], d, d_dec, d - d_dec))
     return records, errors
 
@@ -276,6 +277,9 @@ def cmd_sweep(args) -> int:
         raise ScenarioError(
             "sweep", f"scenario declares no sweep and {', '.join(missing)} not given"
         )
+    outcomes = len(scenario.model.outcomes)
+    if steps * outcomes > MAX_SWEEP_ROWS:
+        raise ScenarioError("sweep.steps", f"{steps} points × {outcomes} outcomes exceed {MAX_SWEEP_ROWS} rows")
     records, errors = sweep_records(scenario, SweepSpec(start, stop, steps).grid())
     if args.format == "json":
         sys.stdout.write(sweep_to_json(records, errors))

@@ -22,7 +22,11 @@ number of states against them. It is the one evaluation route:
 ``CompiledModel(model, observable).evaluate(state)[x].report()`` gives
 p(x), before(x), after(x) and their change, and :func:`outcome_averages`
 folds an evaluation into the two outcome averages. A (G, d_s, d_s) stack
-of states is evaluated in one call by :meth:`CompiledModel.conditional_changes`.
+of states is evaluated in one call by :meth:`CompiledModel.conditional_values`,
+which gives the same p, before and after as arrays: sweeps take
+after − before from it, and the theorem verifiers read both theorems'
+equalities from one 2×2 grid of its results (original or decohered
+apparatus × ρ or Φ_{L_S}(ρ)).
 
 The compile never forms U†(O ⊗ P^x)U. The partial trace over A is cyclic
 for apparatus-only factors, so with G = U(1 ⊗ ϱ) and V = (O† ⊗ 1)U
@@ -192,12 +196,10 @@ def _clamped(p: np.ndarray) -> np.ndarray:
 
 
 def _conditional(p, weak_numerator_real, after_numerator):
-    """(before, after, delta) from p(x) and the two numerators; floats or
-    arrays alike, so a sweep's rows and :meth:`BranchValues.report` share
-    one arithmetic."""
-    before = weak_numerator_real / p
-    after = after_numerator / p
-    return before, after, after - before
+    """(before, after) from p(x) and the two numerators; floats or arrays
+    alike, so :meth:`CompiledModel.conditional_values` and
+    :meth:`BranchValues.report` share one arithmetic."""
+    return weak_numerator_real / p, after_numerator / p
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,9 @@ class BranchValues:
     def report(self) -> ConditionalReport:
         """Before/after/delta; raises ZeroProbabilityOutcome at p not above P_FLOOR."""
         p = _checked_probability(self.probability, self.outcome)
-        before, after, delta = _conditional(p, self.weak_numerator.real, self.after_numerator)
+        before, after = _conditional(p, self.weak_numerator.real, self.after_numerator)
         return ConditionalReport(
-            outcome=self.outcome, probability=p, before=before, after=after, delta=delta
+            outcome=self.outcome, probability=p, before=before, after=after, delta=after - before
         )
 
 
@@ -252,7 +254,7 @@ class CompiledModel:
         """p(x), tr[M(x)Oρ] and Re tr[K(x)ρ] for every outcome, keyed by label
         in outcome order: the (3, |X|) :meth:`traces` of one d_s×d_s state,
         p clamped to [0, 1]. For a (G, d_s, d_s) stack use :meth:`traces`
-        or :meth:`conditional_changes`, which give the same numbers."""
+        or :meth:`conditional_values`, which give the same numbers."""
         traces = self.traces(state.matrix)
         probability = _clamped(traces[0].real).tolist()
         weak, after = traces[1].tolist(), traces[2].real.tolist()
@@ -261,16 +263,17 @@ class CompiledModel:
             for i, x in enumerate(self.outcomes)
         }
 
-    def conditional_changes(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """p(x) and the change after(x) − before(x) for a (G, d_s, d_s) stack
-        of states, both of shape (G, |X|), by the arithmetic of
-        :meth:`BranchValues.report`. Where p is not above P_FLOOR the change
-        is meaningless (and raises no warning); callers test p."""
+    def conditional_values(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p(x), before(x) and after(x) for one d_s×d_s state or a
+        (G, d_s, d_s) stack, each of shape (|X|,) or (G, |X|), by the
+        arithmetic of :meth:`BranchValues.report` (its delta is
+        after − before). Where p is not above P_FLOOR the values are
+        meaningless (and raise no warning); callers test p."""
         traces = self.traces(states)
         p = _clamped(traces[..., 0, :].real)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, _, delta = _conditional(p, traces[..., 1, :].real, traces[..., 2, :].real)
-        return p, delta
+            before, after = _conditional(p, traces[..., 1, :].real, traces[..., 2, :].real)
+        return p, before, after
 
 
 def outcome_averages(values: dict[str, BranchValues]) -> tuple[float, float]:

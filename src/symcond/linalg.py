@@ -44,17 +44,18 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def ensure_hermitian(a: np.ndarray, tol: float = SYMMETRIZE_TOL) -> np.ndarray:
+def ensure_hermitian(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a†)/2, rejecting large defects.
 
-    Symmetrization is silent while ``‖a − a†‖_F < tol``; a defect at or
-    above ``tol`` raises, since downstream spectral formulas assume exact
-    self-adjointness. A NaN anywhere makes the defect NaN, which raises too.
+    Symmetrization is silent while ``‖a − a†‖_F < SYMMETRIZE_TOL``; a
+    defect at or above it raises, since downstream spectral formulas
+    assume exact self-adjointness. A NaN anywhere makes the defect NaN,
+    which raises too.
     """
     defect = frob(a - dagger(a))
-    if not defect < tol:
+    if not defect < SYMMETRIZE_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} >= tolerance {tol:.3e}"
+            f"matrix is not Hermitian: defect {defect:.3e} >= tolerance {SYMMETRIZE_TOL:.3e}"
         )
     return (a + dagger(a)) / 2
 
@@ -165,7 +166,7 @@ class SpectralDecomposition:
         return [c @ dagger(c) for c in columns]
 
 
-def hermitian_eig(h: np.ndarray, tol: float = SYMMETRIZE_TOL) -> SpectralDecomposition:
+def hermitian_eig(h: np.ndarray) -> SpectralDecomposition:
     """Clustered spectral decomposition of a Hermitian matrix.
 
     Eigenvalues within ``cluster_tolerance`` of each other are merged into
@@ -175,15 +176,10 @@ def hermitian_eig(h: np.ndarray, tol: float = SYMMETRIZE_TOL) -> SpectralDecompo
     eigenvectors the standard basis (``vectors`` is None). Otherwise the
     eigenvectors are ``eigh``'s, in ascending eigenvalue order.
 
-    Parameters
-    ----------
-    h : ndarray
-        Matrix to decompose; Hermitian within ``tol`` (symmetrized first;
-        a NaN entry raises ValueError).
-    tol : float
-        Largest acceptable Hermitian defect.
+    ``h`` must be Hermitian within ``SYMMETRIZE_TOL``; it is symmetrized
+    first, and a NaN entry raises ValueError.
     """
-    h = ensure_hermitian(as_matrix(h), tol)
+    h = ensure_hermitian(as_matrix(h))
     if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):
         diagonal = h.diagonal().real
         order = np.argsort(diagonal, kind="stable")

@@ -14,10 +14,10 @@ from .objects import DensityState, MeasurementModel, ObservableOp, PointerObserv
 from .symmetry import ConservedQuantity, random_conserving_unitary
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Hermitian matrix with Gaussian entries of the given scale."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian matrix with standard Gaussian entries, hermitized."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + dagger(g)) / 2
+    return (g + dagger(g)) / 2
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,19 +35,18 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityState:
     return DensityState(m / np.trace(m).real)
 
 
-def random_observable(dim: int, rng: np.random.Generator, scale: float = 1.0) -> ObservableOp:
-    return ObservableOp(random_hermitian(dim, rng, scale))
+def random_observable(dim: int, rng: np.random.Generator) -> ObservableOp:
+    return ObservableOp(random_hermitian(dim, rng))
 
 
-def random_pointer(dim: int, rng: np.random.Generator, n_outcomes: int | None = None) -> PointerObservable:
+def random_pointer(dim: int, rng: np.random.Generator) -> PointerObservable:
     """Projective pointer from a random orthonormal basis.
 
-    The basis columns are split into ``n_outcomes`` contiguous groups
-    (default: a random count between 2 and dim). Labels are "x0", "x1", …
-    with no eigenvalues attached.
+    The basis columns are split into a random count (between 2 and dim)
+    of contiguous groups. Labels are "x0", "x1", … with no eigenvalues
+    attached.
     """
-    if n_outcomes is None:
-        n_outcomes = int(rng.integers(2, dim + 1)) if dim > 2 else 2
+    n_outcomes = int(rng.integers(2, dim + 1)) if dim > 2 else 2
     v = random_unitary(dim, rng)
     cuts = np.array_split(np.arange(dim), n_outcomes)
     projectors = []
@@ -73,9 +72,9 @@ def random_diagonal_density(dim: int, rng: np.random.Generator) -> DensityState:
     return DensityState(np.diag(probs / probs.sum()).astype(complex))
 
 
-def random_diagonal_observable(dim: int, rng: np.random.Generator, scale: float = 1.0) -> ObservableOp:
+def random_diagonal_observable(dim: int, rng: np.random.Generator) -> ObservableOp:
     """Random observable diagonal in the number basis (commutes with it)."""
-    return ObservableOp(np.diag(scale * rng.standard_normal(dim)).astype(complex))
+    return ObservableOp(np.diag(rng.standard_normal(dim)).astype(complex))
 
 
 def random_number_conserving_model(

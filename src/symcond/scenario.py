@@ -45,6 +45,9 @@ DEFAULT_TOLERANCE = 1e-9
 # for; checked before any array is built, since a tiny file could
 # otherwise request a matrix of many gigabytes.
 MAX_JC_DIMENSION = 2048
+# Largest sweep, in rows (grid points × outcomes), checked before the grid
+# is built: a sweep holds ~1 kB per row at once, so this keeps it ~200 MB.
+MAX_SWEEP_ROWS = 200_000
 
 NAMED_OBSERVABLES = {
     # Number-basis convention: the excited state |1⟩ carries eigenvalue +1.

@@ -247,34 +247,21 @@ class TheoremVerdict:
         return all(held[name] for name in self.equalities if self.equality_claimed(name))
 
 
-def _decohered_model(model: MeasurementModel, quantity: ConservedQuantity) -> MeasurementModel:
-    """The same model with its apparatus state pinched by L_A."""
-    return MeasurementModel(
-        apparatus_state=DensityState(decohere(model.apparatus_state.matrix, quantity.apparatus_spectrum)),
-        unitary=model.unitary,
-        pointer=model.pointer,
-    )
+# Cells of the (model, state) grid the theorem equalities compare: the
+# original or decohered-apparatus model, crossed with ρ or Φ_{L_S}(ρ).
+_ORIGINAL, _DECOHERED = 0, 1
+_RHO, _PINCHED = 0, 1
 
 
-def _pair_residuals(pairs: list[tuple[CompiledModel, DensityState]]) -> tuple[float, float]:
-    """Max spread of before/after values across (model, state) evaluations.
-
-    Outcomes where any evaluation in the family falls below the
-    probability floor are skipped; the conditional values are undefined
-    there, so nothing is claimed.
-    """
-    evaluations = [compiled.evaluate(state) for compiled, state in pairs]
-    before: list[float] = []
-    after: list[float] = []
-    for outcome in pairs[0][0].outcomes:
-        try:
-            reports = [values[outcome].report() for values in evaluations]
-        except ZeroProbabilityOutcome:
-            continue
-        for deviations, xs in ((before, [r.before for r in reports]), (after, [r.after for r in reports])):
-            low = min(xs)
-            deviations.extend(x - low for x in xs)  # the largest is the spread; NaN stays NaN
-    return _worst(*before), _worst(*after)
+def _shared_hypotheses(
+    model: MeasurementModel, observable: ObservableOp, quantity: ConservedQuantity
+) -> dict[str, float]:
+    """Conservation, pointer compatibility and [O, L_S] = 0: what every derivation here needs."""
+    return {
+        "conservation": check_conservation(model, quantity),
+        "yanase": check_yanase(model, quantity),
+        "observable_commutes": frob(commutator(observable.matrix, quantity.system_part.matrix)),
+    }
 
 
 @dataclass
@@ -283,9 +270,23 @@ class _TheoremInputs:
 
     hypotheses: dict[str, float]  # conservation, yanase, observable_commutes
     model2: MeasurementModel  # the decohered-apparatus companion model
-    compiled: CompiledModel
-    compiled2: CompiledModel
-    state_dec: DensityState
+    grid: np.ndarray  # [(p, before, after), model, state, outcome]
+
+    def spreads(self, *cells: tuple[int, int]) -> tuple[float, float]:
+        """Largest spread (max − min) of before and of after over the named
+        (model, state) cells, outcome by outcome.
+
+        An outcome where any of these cells has p not above P_FLOOR is
+        skipped: its conditional values are undefined, so nothing is
+        claimed. NaN propagates; no outcome left gives 0.0.
+        """
+        models, states = (list(axis) for axis in zip(*cells))
+        grid = self.grid[:, models, states]  # [(p, before, after), cell, outcome]
+        values = grid[1:, :, (grid[0] > P_FLOOR).all(axis=0)]
+        with np.errstate(invalid="ignore"):  # inf − inf is NaN, reported as such
+            before, after = (values - values.min(axis=1, keepdims=True)).reshape(2, -1).tolist()
+        # The leading 0.0 makes a zero spread +0.0 whatever the signs of the zeros.
+        return _worst(0.0, *before), _worst(0.0, *after)
 
 
 def _theorem_inputs(
@@ -296,19 +297,14 @@ def _theorem_inputs(
     compiled: CompiledModel | None = None,
 ) -> _TheoremInputs:
     """The shared inputs; ``compiled`` is reused when the caller already
-    compiled (model, observable)."""
-    model2 = _decohered_model(model, quantity)
-    return _TheoremInputs(
-        hypotheses={
-            "conservation": check_conservation(model, quantity),
-            "yanase": check_yanase(model, quantity),
-            "observable_commutes": frob(commutator(observable.matrix, quantity.system_part.matrix)),
-        },
-        model2=model2,
-        compiled=CompiledModel(model, observable) if compiled is None else compiled,
-        compiled2=CompiledModel(model2, observable),
-        state_dec=DensityState(decohere(state.matrix, quantity.system_spectrum)),
-    )
+    compiled (model, observable). The stack [ρ, Φ_{L_S}(ρ)] is evaluated
+    under the original and the decohered-apparatus compile, one call each."""
+    decohered = DensityState(decohere(model.apparatus_state.matrix, quantity.apparatus_spectrum))
+    model2 = MeasurementModel(apparatus_state=decohered, unitary=model.unitary, pointer=model.pointer)
+    states = np.stack([state.matrix, decohere(state.matrix, quantity.system_spectrum)])
+    compiles = (compiled or CompiledModel(model, observable), CompiledModel(model2, observable))
+    grid = np.stack([c.conditional_values(states) for c in compiles], axis=1)
+    return _TheoremInputs(_shared_hypotheses(model, observable, quantity), model2, grid)
 
 
 def _theorem1(
@@ -318,9 +314,8 @@ def _theorem1(
         **shared.hypotheses,
         "state_commutes": frob(commutator(state.matrix, quantity.system_part.matrix)),
     }
-    compiled, compiled2 = shared.compiled, shared.compiled2
-    sys_before, sys_after = _pair_residuals([(compiled, state), (compiled2, state)])
-    anc_before, anc_after = _pair_residuals([(compiled2, state), (compiled2, shared.state_dec)])
+    sys_before, sys_after = shared.spreads((_ORIGINAL, _RHO), (_DECOHERED, _RHO))
+    anc_before, anc_after = shared.spreads((_DECOHERED, _RHO), (_DECOHERED, _PINCHED))
     equalities = {
         "system_commutes_before": sys_before,
         "system_commutes_after": sys_after,
@@ -354,9 +349,9 @@ def _theorem2(
         "symmetric_state": _worst(*symmetric),
         "cross_elements": check_cross_elements_imaginary(model, observable, quantity),
     }
-    compiled, compiled2, state_dec = shared.compiled, shared.compiled2, shared.state_dec
-    chain = [(compiled, state), (compiled2, state), (compiled, state_dec), (compiled2, state_dec)]
-    before_chain, after_chain = _pair_residuals(chain)
+    before_chain, after_chain = shared.spreads(
+        (_ORIGINAL, _RHO), (_DECOHERED, _RHO), (_ORIGINAL, _PINCHED), (_DECOHERED, _PINCHED)
+    )
     equalities = {"before_chain": before_chain, "after_chain": after_chain}
     all_hyp = tuple(hypotheses)
     requires = {"before_chain": all_hyp, "after_chain": all_hyp}
@@ -464,12 +459,7 @@ def blockwise_conditional_values(
     [O, L_S] = 0; their residuals are measured first and any at or above
     ``tol`` raises. p(x) is computed directly here, not through the engine.
     """
-    pre = {
-        "conservation": check_conservation(model, quantity),
-        "yanase": check_yanase(model, quantity),
-        "observable_commutes": frob(commutator(observable.matrix, quantity.system_part.matrix)),
-    }
-    for name, residual in pre.items():
+    for name, residual in _shared_hypotheses(model, observable, quantity).items():
         if residual >= tol:
             raise ValueError(
                 f"blockwise path precondition {name!r} violated: "
@@ -517,9 +507,7 @@ def blockwise_conditional_values(
     return float(before_sum.real) / (2 * p), float(after_sum.real) / p
 
 
-def random_conserving_unitary(
-    quantity: ConservedQuantity, rng: np.random.Generator, scale: float = 1.0
-) -> np.ndarray:
+def random_conserving_unitary(quantity: ConservedQuantity, rng: np.random.Generator) -> np.ndarray:
     """Random unitary commuting with the additive conserved quantity.
 
     A complex Gaussian matrix is hermitized, pinched onto the
@@ -530,4 +518,4 @@ def random_conserving_unitary(
     n = total.shape[0]
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = (g + dagger(g)) / 2
-    return unitary_from_generator(decohere(g, total), scale)
+    return unitary_from_generator(decohere(g, total), 1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,12 +288,16 @@ def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, ca
     import symcond.cli
     import symcond.symmetry
 
-    counts = {"compile": 0, "conservation": 0, "yanase": 0, "symmetric": 0}
+    counts = {"compile": 0, "traces": 0, "conservation": 0, "yanase": 0, "symmetric": 0}
 
     class CountingModel(symcond.symmetry.CompiledModel):
         def __init__(self, *args):
             counts["compile"] += 1
             super().__init__(*args)
+
+        def traces(self, states):
+            counts["traces"] += 1
+            return super().traces(states)
 
     def counting(name, fn):
         def wrapper(*args):
@@ -312,6 +317,9 @@ def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, ca
     main(command)
     capsys.readouterr()
     assert counts["compile"] <= max_compiles
+    # Both theorems read one stack [ρ, Φ(ρ)] under each of the two
+    # compiles; the run report evaluates ρ once more for its outcome rows.
+    assert counts["traces"] <= {"run": 3, "theorems": 2}[command[0]]
     assert counts["conservation"] == 1
     assert counts["yanase"] == 1
     # Theorem 2 needs ρ⊗ϱ and ρ⊗Φ(ϱ); the run report reads the first.
@@ -327,6 +335,35 @@ def test_sweep_grid_must_be_finite_with_two_points(flags, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {field}: " in captured.err
+
+
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_sweep_size_is_bounded_before_building(source, tmp_path, capsys):
+    # 10**13 points could never be held; the bound must reject them by
+    # field, whether from --steps or the scenario, before any array of
+    # that size is asked for.
+    doc = fig1_doc()
+    if source == "scenario":
+        doc["sweep"]["steps"] = 10**13
+        argv = ["sweep", write_doc(tmp_path, doc)]
+    else:
+        argv = ["sweep", FIG1, "--steps", str(10**13)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_PARSE
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: sweep.steps: " in captured.err
+    from symcond.scenario import MAX_SWEEP_ROWS
+
+    assert f"{10**13} points × 2 outcomes exceed {MAX_SWEEP_ROWS} rows" in captured.err
+    # One point past the limit is rejected too; fig1 has two outcomes.
+    assert main(["sweep", FIG1, "--steps", str(MAX_SWEEP_ROWS // 2 + 1)]) == EXIT_PARSE
+    assert main(["sweep", FIG1, "--steps", "2"]) == EXIT_OK
 
 
 def per_point_sweep(scenario, grid):

@@ -382,7 +382,7 @@ def test_average_after_matches_heisenberg_mean():
 
 def test_stacked_evaluation_equals_each_state():
     # One call on a (G, d_s, d_s) stack gives, state by state, the very
-    # traces and conditional values of evaluate() and report().
+    # traces of evaluate() and the p, before and after of report().
     rng = np.random.default_rng(1230)
     model = random_model(3, 4, rng)
     compiled = CompiledModel(model, random_observable(3, rng))
@@ -390,21 +390,27 @@ def test_stacked_evaluation_equals_each_state():
     stack = np.stack([s.matrix for s in states])
     traces = compiled.traces(stack)
     assert traces.shape == (7, 3, len(model.outcomes))
-    p, delta = compiled.conditional_changes(stack)
+    p, before, after = compiled.conditional_values(stack)
+    assert p.shape == before.shape == after.shape == (7, len(model.outcomes))
     for g, state in enumerate(states):
         assert np.array_equal(traces[g], compiled.traces(state.matrix))
+        single = compiled.conditional_values(state.matrix)
+        assert all(np.array_equal(a[g], b) for a, b in zip((p, before, after), single))
         for i, (label, branch) in enumerate(compiled.evaluate(state).items()):
             rep = branch.report()
-            assert (p[g, i], delta[g, i]) == (rep.probability, rep.delta)
+            assert (p[g, i], before[g, i], after[g, i]) == (rep.probability, rep.before, rep.after)
+            assert after[g, i] - before[g, i] == rep.delta
 
 
-def test_stacked_changes_flag_zero_probability_rows():
+def test_stacked_values_flag_zero_probability_rows():
     model = identity_model(np.diag([1.0, 0.0]).astype(complex))
     compiled = CompiledModel(model, ObservableOp(np.diag([1.0, -1.0]).astype(complex)))
     stack = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
-    p, delta = compiled.conditional_changes(stack)
+    p, before, after = compiled.conditional_values(stack)
     # Outcome "+" reads apparatus level 1, which ϱ never populates.
     assert p[:, 1].tolist() == [0.0, 0.0]
-    assert np.isfinite(delta[:, 0]).all()
+    for g in range(2):
+        rep = compiled.evaluate(DensityState(stack[g]))["-"].report()
+        assert (p[g, 0], before[g, 0], after[g, 0]) == (rep.probability, rep.before, rep.after)
     with pytest.raises(ZeroProbabilityOutcome, match="'\\+' has probability 0.000e\\+00"):
         compiled.evaluate(DensityState(stack[0]))["+"].report()

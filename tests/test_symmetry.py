@@ -506,6 +506,100 @@ def test_verify_theorems_equals_the_single_verifiers():
         assert list(verdicts["theorem2"].hypotheses) == list(verify_theorem2(model, rho, obs, q).hypotheses)
 
 
+def per_cell_spreads(cells):
+    """Spreads of before and after over (compiled, state) cells, one
+    report() per cell and outcome: the reference for the stacked grid.
+    An outcome whose report raises in any cell is skipped."""
+    evaluations = [compiled.evaluate(state) for compiled, state in cells]
+    before, after = [], []
+    for outcome in evaluations[0]:
+        try:
+            reports = [values[outcome].report() for values in evaluations]
+        except ZeroProbabilityOutcome:
+            continue
+        for deviations, xs in ((before, [r.before for r in reports]), (after, [r.after for r in reports])):
+            deviations.extend(x - min(xs) for x in xs)
+    return tuple(np.nan if np.isnan(d).any() else max(d, default=0.0) for d in (before, after))
+
+
+def per_cell_equalities(model, rho, obs, q):
+    decohered = MeasurementModel(
+        DensityState(decohere(model.apparatus_state.matrix, q.apparatus_part)), model.unitary, model.pointer
+    )
+    original, dec = CompiledModel(model, obs), CompiledModel(decohered, obs)
+    pinched = DensityState(decohere(rho.matrix, q.system_part))
+    spreads = {
+        "system_commutes": per_cell_spreads([(original, rho), (dec, rho)]),
+        "ancilla_commutes": per_cell_spreads([(dec, rho), (dec, pinched)]),
+        "chain": per_cell_spreads([(original, rho), (dec, rho), (original, pinched), (dec, pinched)]),
+    }
+    return {
+        "system_commutes_before": spreads["system_commutes"][0],
+        "system_commutes_after": spreads["system_commutes"][1],
+        "ancilla_commutes_before": spreads["ancilla_commutes"][0],
+        "ancilla_commutes_after": spreads["ancilla_commutes"][1],
+        "before_chain": spreads["chain"][0],
+        "after_chain": spreads["chain"][1],
+    }
+
+
+def grid_cases():
+    setup = load_scenario(fig1_scenario_path())
+    cases = [
+        ("fig1", setup.model, setup.system_state(phi), setup.observable, setup.conserved)
+        for phi in (0.0, 0.4, np.pi / 2, 0.4 * np.pi, np.pi, 5.1)
+    ]
+    rng = np.random.default_rng(36)
+    for dim_s, dim_a in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        model, q = random_number_conserving_model(dim_s, dim_a, rng)
+        cases.append(("conserving", model, random_density(dim_s, rng), random_diagonal_observable(dim_s, rng), q))
+        cases.append(("conserving", model, random_diagonal_density(dim_s, rng), random_diagonal_observable(dim_s, rng), q))
+    # ϱ = |0⟩⟨0| and U = 1: the outcome "1" (apparatus level 1) has p = 0
+    # in every cell, so it is skipped rather than turning the spreads NaN.
+    q = ConservedQuantity(number_operator(2), number_operator(2))
+    empty = MeasurementModel(DensityState(np.diag([1.0, 0.0])), np.eye(4, dtype=complex), number_pointer(2))
+    cases.append(("zero", empty, random_density(2, rng), random_diagonal_observable(2, rng), q))
+    # Hadamard then CNOT maps |+⟩ to |0⟩|0⟩, so outcome "1" has p = 0 for ρ
+    # = |+⟩⟨+| but p = 1/2 for Φ(ρ) = 1/2: skipped only where a cell is empty.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+    mixing = MeasurementModel(DensityState(np.diag([1.0, 0.0])), cnot @ kron(hadamard, np.eye(2)), number_pointer(2))
+    cases.append(("partly zero", mixing, DensityState(np.full((2, 2), 0.5)), ObservableOp(np.diag([-1.0, 1.0])), q))
+    cases.append(("nan", *_nan_observable_instance()))
+    return cases
+
+
+@pytest.mark.parametrize("kind, model, rho, obs, q", grid_cases())
+def test_equalities_equal_per_cell_reports_bit_for_bit(kind, model, rho, obs, q):
+    verdicts = verify_theorems(model, rho, obs, q)
+    got = {**verdicts["theorem1"].equalities, **verdicts["theorem2"].equalities}
+    want = per_cell_equalities(model, rho, obs, q)
+    assert list(got) == list(want)
+    for name in want:
+        assert np.float64(got[name]).tobytes() == np.float64(want[name]).tobytes(), name
+    if kind in ("zero", "partly zero"):
+        values = CompiledModel(model, obs).evaluate(rho)
+        assert values["1"].probability < 1e-12 < values["0"].probability
+        assert all(np.isfinite(v) for v in got.values())
+    assert all(np.isnan(v) for v in got.values()) == (kind == "nan")
+
+
+@pytest.mark.parametrize(
+    "xs", [[-0.0, 0.0], [0.0, -0.0], [-np.inf, 1.0], [np.inf, 1.0], [np.inf, np.inf], [1.0, np.nan], [2.0, 1.0]]
+)
+def test_spreads_keep_the_per_report_arithmetic(xs):
+    # Signed zeros and infinities come out as the per-report fold gives
+    # them: deviations x − min(xs), NaN if any is NaN, and +0.0 for a zero spread.
+    from symcond.symmetry import _TheoremInputs
+
+    grid = np.ones((3, 2, 2, 1))
+    grid[1:, :, 0, 0] = xs
+    got = _TheoremInputs({}, None, grid).spreads((0, 0), (1, 0))
+    deviations = [x - min(xs) for x in xs]
+    want = np.nan if np.isnan(deviations).any() else max(deviations)
+    assert np.array(got).tobytes() == np.array([want, want]).tobytes()
+
+
 def test_blockwise_matches_direct_on_fig1():
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
