@@ -48,11 +48,11 @@ def main() -> None:
         rho = random_density(2, rng)
         obs = random_diagonal_observable(2, rng)
         values = CompiledModel(model, obs).evaluate(rho)
-        for label in model.outcomes:
-            try:
-                b_block, a_block = blockwise_conditional_values(model, rho, obs, quantity, label)
-            except ZeroProbabilityOutcome:
-                continue
+        try:
+            befores, afters = blockwise_conditional_values(model, rho, obs, quantity)
+        except ZeroProbabilityOutcome:
+            continue
+        for label, b_block, a_block in zip(model.outcomes, befores.tolist(), afters.tolist()):
             direct = values[label].report()
             b_direct, a_direct = direct.before, direct.after
             gap = max(abs(b_block - b_direct), abs(a_block - a_direct))

@@ -36,7 +36,6 @@ from .engine import (
 )
 from .jaynes_cummings import jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
 from .linalg import frob, hermitian_eig, kron, unitary_from_generator
-from .objects import born_probability
 from .sampling import (
     random_density,
     random_diagonal_density,
@@ -56,6 +55,7 @@ from .scenario import (
     load_scenario,
 )
 from .symmetry import (
+    _worst,
     blockwise_conditional_values,
     decohere,
     verify_theorem1,
@@ -339,32 +339,32 @@ def cmd_theorems(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERT
 
 
+def _largest(residuals: list) -> float:
+    """The largest of the residuals (floats or arrays) by the NaN-propagating
+    fold ``_worst``; +0.0 if none is above zero."""
+    return _worst(*np.hstack([0.0, *residuals]).tolist())
+
+
 def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
     """Seeded randomized property checks: (name, worst residual, threshold)."""
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float, float]] = []
 
     # Induced POVM reproduces the Schrödinger-picture instrument statistics.
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         dims = rng.integers(2, 4, size=2)
         model = random_model(int(dims[0]), int(dims[1]), rng)
-        effects = induced_povm(model)
-        for _ in range(5):
-            state = random_density(model.dim_s, rng)
-            for outcome in model.outcomes:
-                branch = apply_instrument(model, state.matrix, outcome)
-                worst = max(
-                    worst,
-                    abs(
-                        born_probability(state, effects.effect(outcome))
-                        - float(np.trace(branch).real)
-                    ),
-                )
-    checks.append(("probability_reproducibility", worst, 1e-10))
+        effects = np.stack(induced_povm(model).effects)
+        states = np.stack([random_density(model.dim_s, rng).matrix for _ in range(5)])
+        born = np.clip(np.trace(effects @ states[:, None], axis1=-2, axis2=-1).real, 0.0, 1.0)
+        for i, outcome in enumerate(model.outcomes):
+            branches = apply_instrument(model, states, outcome)
+            residuals.append(np.abs(born[:, i] - np.trace(branches, axis1=-2, axis2=-1).real))
+    checks.append(("probability_reproducibility", _largest(residuals), 1e-10))
 
     # Outcome-averaged before/after values match their closed forms.
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         dims = rng.integers(2, 4, size=2)
         model = random_model(int(dims[0]), int(dims[1]), rng)
@@ -377,90 +377,99 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         )
         target_before = float(np.trace(observable.matrix @ state.matrix).real)
         avg_before, avg_after = outcome_averages(CompiledModel(model, observable).evaluate(state))
-        worst = max(worst, abs(avg_before - target_before), abs(avg_after - target_after))
-    checks.append(("average_identities", worst, 1e-9))
+        residuals += [abs(avg_before - target_before), abs(avg_after - target_after)]
+    checks.append(("average_identities", _largest(residuals), 1e-9))
 
     # The weak value from M(x) agrees with the instrument applied to Oρ.
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         dims = rng.integers(2, 4, size=2)
         model = random_model(int(dims[0]), int(dims[1]), rng)
         state = random_density(model.dim_s, rng)
         observable = random_observable(model.dim_s, rng)
-        values = CompiledModel(model, observable).evaluate(state)
-        for outcome in model.outcomes:
-            if not values[outcome].probability > 1e-6:
-                continue
-            p = float(np.trace(apply_instrument(model, state.matrix, outcome)).real)
-            op_rho = observable.matrix @ state.matrix
-            want = float(np.trace(apply_instrument(model, op_rho, outcome)).real) / p
-            worst = max(worst, abs(values[outcome].report().before - want))
-    checks.append(("weak_value_dual_route", worst, 1e-9))
+        p, before, _ = CompiledModel(model, observable).conditional_values(state.matrix)
+        operands = np.stack([state.matrix, observable.matrix @ state.matrix])
+        for i in np.flatnonzero(p > 1e-6):
+            branches = apply_instrument(model, operands, model.outcomes[i])
+            traces = np.trace(branches, axis1=-2, axis2=-1).real
+            residuals.append(abs(before[i] - traces[1] / traces[0]))
+    checks.append(("weak_value_dual_route", _largest(residuals), 1e-9))
 
     # Both coherence-irrelevance branches on conserving random instances.
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         dims = rng.integers(2, 4, size=2)
         model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
         observable = random_diagonal_observable(model.dim_s, rng)
         diag_state = random_diagonal_density(model.dim_s, rng)
         v = verify_theorem1(model, diag_state, observable, quantity)
-        worst = max(worst, v.equalities["system_commutes_before"], v.equalities["system_commutes_after"])
+        residuals += [v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]]
         full_state = random_density(model.dim_s, rng)
         v = verify_theorem1(model, full_state, observable, quantity)
-        worst = max(worst, v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"])
-    checks.append(("theorem1_instances", worst, 1e-9))
+        residuals += [v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]]
+    checks.append(("theorem1_instances", _largest(residuals), 1e-9))
 
     # Pinching algebra: idempotent, trace-preserving, L-compatible, fixed points.
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         dim = int(rng.integers(2, 7))
         l_op = random_hermitian(dim, rng)
         spectrum = hermitian_eig(l_op)
         a = random_density(dim, rng).matrix
         pinched = decohere(a, spectrum)
-        worst = max(worst, frob(decohere(pinched, spectrum) - pinched))
-        worst = max(worst, abs(np.trace(pinched).real - np.trace(a).real))
-        worst = max(worst, frob(pinched @ l_op - l_op @ pinched))
-        worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(pinched).min())))
         commuting = l_op @ l_op
-        worst = max(worst, frob(decohere(commuting, spectrum) - commuting))
-    checks.append(("decoherence_algebra", worst, 1e-10))
+        residuals += [
+            frob(decohere(pinched, spectrum) - pinched),
+            abs(np.trace(pinched).real - np.trace(a).real),
+            frob(pinched @ l_op - l_op @ pinched),
+            -float(np.linalg.eigvalsh(pinched).min()),  # −λ_min: above 0 only if not PSD
+            frob(decohere(commuting, spectrum) - commuting),
+        ]
+    checks.append(("decoherence_algebra", _largest(residuals), 1e-10))
 
     # Blocked closed-form unitary against the spectral exponential.
-    worst = 0.0
+    residuals = []
     for dim_a in range(2, 7):
         for _ in range(3):
             theta = float(rng.uniform(-2 * pi, 2 * pi))
             spec = JCModelSpec(dim_s=2, dim_a=dim_a, theta=theta)
             direct = jc_unitary_closed_form(spec)
             spectral = unitary_from_generator(jc_hamiltonian(2, dim_a).matrix, theta)
-            worst = max(worst, frob(direct - spectral))
-    checks.append(("closed_form_unitary", worst, 1e-10))
+            residuals.append(frob(direct - spectral))
+    checks.append(("closed_form_unitary", _largest(residuals), 1e-10))
 
     # Blockwise sector path against the direct conditional values.
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         dims = rng.integers(2, 4, size=2)
         model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
         observable = random_diagonal_observable(model.dim_s, rng)
         state = random_density(model.dim_s, rng)
-        values = CompiledModel(model, observable).evaluate(state)
-        for outcome in model.outcomes:
-            if not values[outcome].probability > 1e-6:
-                continue
-            before_bw, after_bw = blockwise_conditional_values(
-                model, state, observable, quantity, outcome
-            )
-            rep = values[outcome].report()
-            worst = max(worst, abs(before_bw - rep.before), abs(after_bw - rep.after))
-    checks.append(("blockwise_crosspath", worst, 1e-9))
+        p, before, after = CompiledModel(model, observable).conditional_values(state.matrix)
+        before_bw, after_bw = blockwise_conditional_values(model, state, observable, quantity)
+        kept = p > 1e-6
+        residuals += [np.abs(before_bw - before)[kept], np.abs(after_bw - after)[kept]]
+    checks.append(("blockwise_crosspath", _largest(residuals), 1e-9))
 
     return checks
 
 
+def _seed() -> int:
+    """The selftest seed: $SYMCOND_SEED as a non-negative integer, else DEFAULT_SEED."""
+    text = os.environ.get(SEED_ENV_VAR)
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ScenarioError(SEED_ENV_VAR, f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def cmd_selftest(args) -> int:
-    seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    seed = _seed()
     failures = 0
     for name, residual, threshold in selftest_checks(seed):
         ok = residual < threshold

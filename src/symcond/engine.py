@@ -53,9 +53,9 @@ about 2k·n²·d_s + n²·d_a work and O(k·n²) memory, instead of
 2n³ + n²·d_a.
 
 :func:`dual_instrument` (the Heisenberg sandwich, one outcome at a time)
-and :func:`apply_instrument` (the Schrödinger-picture instrument) are the
-documented formulas and the independent checks of this route; no
-production path calls either.
+and :func:`apply_instrument` (the Schrödinger-picture instrument, on one
+operand or a stack of them) are the documented formulas and the
+independent checks of this route; no production path calls either.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ def apply_instrument(
     Linear in ``operand``, which need not be Hermitian. This is the
     Schrödinger-picture instrument; it is the adjoint of
     :func:`dual_instrument` and serves as its independent check.
+    ``operand`` may be one d_s×d_s matrix or a (…, d_s, d_s) stack; each
+    matrix of a stack gets the arithmetic it gets alone, so the branches
+    are the one-operand results bit for bit.
     """
     proj = kron(np.eye(model.dim_s), model.pointer.projector(outcome))
     joint = model.unitary @ kron(operand, model.apparatus_state.matrix) @ model.unitary.conj().T

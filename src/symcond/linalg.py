@@ -65,9 +65,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The same elementwise products as ``np.kron``, so bit-identical to it,
     formed by one broadcast multiply without its general-rank overhead.
+    Either factor may be a (…, r, c) stack; leading axes broadcast.
     """
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    x = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return x.reshape(*x.shape[:-4], ra * rb, ca * cb)
 
 
 def partial_trace(x: np.ndarray, dim_s: int, dim_a: int, over: str) -> np.ndarray:
@@ -77,7 +79,8 @@ def partial_trace(x: np.ndarray, dim_s: int, dim_a: int, over: str) -> np.ndarra
     ----------
     x : ndarray
         Operator on the product space, shape ``(dim_s*dim_a, dim_s*dim_a)``,
-        with the system factor first in the Kronecker ordering.
+        with the system factor first in the Kronecker ordering, or a
+        (…, dim_s*dim_a, dim_s*dim_a) stack of them, traced one by one.
     dim_s, dim_a : int
         Factor dimensions.
     over : {"system", "apparatus"}
@@ -89,13 +92,13 @@ def partial_trace(x: np.ndarray, dim_s: int, dim_a: int, over: str) -> np.ndarra
         Operator on the remaining factor. The full trace is preserved.
     """
     n = dim_s * dim_a
-    if x.shape != (n, n):
+    if x.shape[-2:] != (n, n):
         raise ValueError(f"operator shape {x.shape} does not match dims {dim_s}x{dim_a}")
-    x4 = x.reshape(dim_s, dim_a, dim_s, dim_a)
+    x4 = x.reshape(*x.shape[:-2], dim_s, dim_a, dim_s, dim_a)
     if over == "apparatus":
-        return np.trace(x4, axis1=1, axis2=3)
+        return np.trace(x4, axis1=-3, axis2=-1)
     if over == "system":
-        return np.trace(x4, axis1=0, axis2=2)
+        return np.trace(x4, axis1=-4, axis2=-2)
     raise ValueError(f"unknown subsystem tag {over!r}; expected 'system' or 'apparatus'")
 
 

@@ -379,6 +379,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("$", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("$", "not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError("$", "top level must be an object")
 
@@ -430,7 +432,7 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(str(p), f"cannot read scenario file: {exc}") from None
     return parse_scenario(text, source=str(p))
 

@@ -8,8 +8,9 @@ coherence between distinct eigenvalue sectors.
 The two verifiers measure (never assume) their hypotheses and report
 residuals for every claimed equality, so a caller can tell "hypothesis
 broken, nothing asserted" apart from "hypothesis held, equality failed".
-A blockwise evaluation of the conditional values over total-eigenvalue
-sectors is included as an independent cross-check path.
+A blockwise evaluation of every outcome's conditional values over
+total-eigenvalue sectors is included as an independent cross-check path;
+it shares no evaluation code with the engine.
 """
 
 from __future__ import annotations
@@ -440,11 +441,11 @@ def blockwise_conditional_values(
     state: DensityState,
     observable: ObservableOp,
     quantity: ConservedQuantity,
-    outcome: str,
     tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Conditional (before, after) evaluated blockwise over total-eigenvalue
-    sectors, an independent path that must agree with the direct formulas.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional (before, after) of every outcome, two arrays in
+    ``model.outcomes`` order, evaluated blockwise over total-eigenvalue
+    sectors: an independent path that must agree with the direct formulas.
 
     The conservation law confines U to blocks of fixed total eigenvalue
     l = m + μ, so each conditional value decomposes into a sum over sector
@@ -455,9 +456,13 @@ def blockwise_conditional_values(
         before = (1/2p) Σ_l Σ_{(m,μ)_l} Σ_{(n,ν)_l}
                  tr[(1 ⊗ P^x) U (Q_S^m (Oρ + ρO) Q_S^n ⊗ Q_A^μ ϱ Q_A^ν) U†]
 
-    The derivation needs the conservation law, pointer compatibility, and
-    [O, L_S] = 0; their residuals are measured first and any at or above
-    ``tol`` raises. p(x) is computed directly here, not through the engine.
+    Each sector-pair block is formed once and traced against the stacked
+    Heisenberg operators of all outcomes, each outcome's sum in the same
+    order as alone. The derivation needs the conservation law, pointer
+    compatibility, and [O, L_S] = 0; their residuals are measured first
+    and any at or above ``tol`` raises ValueError. p(x) is computed
+    directly here, not through the engine; the first outcome whose p(x)
+    is not above P_FLOOR raises ZeroProbabilityOutcome.
     """
     for name, residual in _shared_hypotheses(model, observable, quantity).items():
         if residual >= tol:
@@ -471,13 +476,14 @@ def blockwise_conditional_values(
     rho = state.matrix
     varrho = model.apparatus_state.matrix
     u = model.unitary
-    proj = model.pointer.projector(outcome)
+    projs = np.stack(model.pointer.projectors)  # [x, c, d], outcomes in model order
     eye_s = np.eye(model.dim_s)
 
     joint = u @ kron(rho, varrho) @ dagger(u)
-    p = float(np.trace(kron(eye_s, proj) @ joint).real)
-    if not p > P_FLOOR:
-        raise ZeroProbabilityOutcome(outcome, p)
+    p = np.trace(kron(eye_s, projs) @ joint, axis1=-2, axis2=-1).real
+    for outcome, px in zip(model.outcomes, p.tolist()):
+        if not px > P_FLOOR:
+            raise ZeroProbabilityOutcome(outcome, px)
 
     # Pairs (m, μ) grouped by their total eigenvalue m + μ.
     sector_pairs = list(itertools.product(range(len(dec_s.eigenvalues)), range(len(dec_a.eigenvalues))))
@@ -491,20 +497,19 @@ def blockwise_conditional_values(
         blocks.setdefault(int(lab), []).append(pair)
 
     # Heisenberg-picture operators make each projected trace a single
-    # contraction: tr[A U B U†] = tr[(U† A U) B].
-    op_after = dagger(u) @ kron(observable.matrix, proj) @ u
-    op_before = dagger(u) @ kron(eye_s, proj) @ u
-    sym = observable.matrix @ rho + rho @ observable.matrix
+    # contraction: tr[A U B U†] = tr[(U† A U) B]. Row 0 serves after
+    # (O ⊗ P^x against ρ), row 1 before (1 ⊗ P^x against Oρ + ρO).
+    ops = dagger(u) @ np.stack([kron(observable.matrix, projs), kron(eye_s, projs)]) @ u
+    operands = np.stack([rho, observable.matrix @ rho + rho @ observable.matrix])
 
-    after_sum = 0.0 + 0.0j
-    before_sum = 0.0 + 0.0j
+    sums = np.zeros((2, len(p)), dtype=complex)
     for pairs in blocks.values():
         for (m, mu), (n, nu) in itertools.product(pairs, pairs):
-            qs_m, qa_mu = dec_s.projectors[m], dec_a.projectors[mu]
-            qs_n, qa_nu = dec_s.projectors[n], dec_a.projectors[nu]
-            after_sum += np.trace(op_after @ kron(qs_m @ rho @ qs_n, qa_mu @ varrho @ qa_nu))
-            before_sum += np.trace(op_before @ kron(qs_m @ sym @ qs_n, qa_mu @ varrho @ qa_nu))
-    return float(before_sum.real) / (2 * p), float(after_sum.real) / p
+            system = dec_s.projectors[m] @ operands @ dec_s.projectors[n]
+            apparatus = dec_a.projectors[mu] @ varrho @ dec_a.projectors[nu]
+            sums += np.trace(ops @ kron(system, apparatus)[:, None], axis1=-2, axis2=-1)
+    after_sum, before_sum = sums.real
+    return before_sum / (2 * p), after_sum / p
 
 
 def random_conserving_unitary(quantity: ConservedQuantity, rng: np.random.Generator) -> np.ndarray:

@@ -298,11 +298,11 @@ def test_criterion_6_blockwise_cross_path():
         rho = random_density(2, rng)
         obs = random_diagonal_observable(2, rng)
         values = CompiledModel(model, obs).evaluate(rho)
-        for label in model.outcomes:
-            try:
-                before, after = blockwise_conditional_values(model, rho, obs, q, label)
-            except ZeroProbabilityOutcome:
-                continue
+        try:
+            befores, afters = blockwise_conditional_values(model, rho, obs, q)
+        except ZeroProbabilityOutcome:
+            continue
+        for label, before, after in zip(model.outcomes, befores, afters):
             direct = values[label].report()
             worst = max(
                 worst,

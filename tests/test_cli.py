@@ -542,6 +542,124 @@ def test_selftest_passes_and_is_seeded(capsys, monkeypatch):
     assert first == second
 
 
+def test_selftest_seed_must_be_a_non_negative_integer(capsys, monkeypatch):
+    for text in ("abc", "-1", "1e3"):
+        monkeypatch.setenv("SYMCOND_SEED", text)
+        assert main(["selftest"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SYMCOND_SEED: ") and repr(text) in captured.err
+
+
+def test_selftest_seed_takes_what_int_takes(capsys, monkeypatch):
+    monkeypatch.setenv("SYMCOND_SEED", "7")
+    main(["selftest"])
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("SYMCOND_SEED", " 7 ")
+    assert main(["selftest"]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    monkeypatch.setenv("SYMCOND_SEED", "12345678901234567890123")
+    assert main(["selftest"]) == EXIT_OK
+    assert "selftest seed 12345678901234567890123: all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "target, nan_like, failing",
+    [
+        (
+            "blockwise_conditional_values",
+            lambda values: tuple(np.full_like(v, np.nan) for v in values),
+            {"blockwise_crosspath"},
+        ),
+        (
+            "apply_instrument",
+            lambda branches: np.full_like(branches, np.nan),
+            {"probability_reproducibility", "weak_value_dual_route"},
+        ),
+    ],
+    ids=["blockwise", "instrument"],
+)
+def test_selftest_fails_on_a_nan_residual(target, nan_like, failing, capsys, monkeypatch):
+    import symcond.cli
+
+    real = getattr(symcond.cli, target)
+
+    def nan_valued(*args):
+        return nan_like(real(*args))
+
+    monkeypatch.setattr(symcond.cli, target, nan_valued)
+    assert main(["selftest"]) == EXIT_ASSERT
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1].rstrip(":") for line in lines if "FAIL (max residual nan," in line}
+    assert failed == failing
+    assert lines[-1].endswith(f"{len(failing)} check(s) failed")
+
+
+def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
+    import symcond.cli
+
+    log, models, operands = [], [], {}
+
+    def recording(name):
+        real = getattr(symcond.cli, name)
+
+        def wrapped(*args, **kwargs):
+            log.append(name)
+            out = real(*args, **kwargs)
+            if name == "random_model":
+                models.append(out)
+            return out
+
+        monkeypatch.setattr(symcond.cli, name, wrapped)
+
+    for name in (
+        "random_model",
+        "random_density",
+        "random_diagonal_density",
+        "random_number_conserving_model",
+        "random_hermitian",
+        "jc_unitary_closed_form",
+        "verify_theorem1",
+        "blockwise_conditional_values",
+    ):
+        recording(name)
+    instrument = symcond.cli.apply_instrument
+
+    def counting_instrument(model, operand, outcome):
+        operands[id(model)] = operands.get(id(model), 0) + operand[..., 0, 0].size
+        return instrument(model, operand, outcome)
+
+    monkeypatch.setattr(symcond.cli, "apply_instrument", counting_instrument)
+    assert all(residual < threshold for _, residual, threshold in selftest_checks(42))
+
+    conserving = "random_number_conserving_model"
+    expected = (
+        ["random_model"] + ["random_density"] * 5
+    ) * 20 + ["random_model", "random_density"] * 40 + [
+        conserving, "random_diagonal_density", "verify_theorem1", "random_density", "verify_theorem1"
+    ] * 10 + ["random_hermitian", "random_density"] * 20 + ["jc_unitary_closed_form"] * 15 + [
+        conserving, "random_density", "blockwise_conditional_values"
+    ] * 10
+    assert log == expected
+    # The probability check sends each of its 100 states through every outcome's instrument.
+    assert [operands[id(m)] for m in models[:20]] == [5 * len(m.outcomes) for m in models[:20]]
+
+
+def test_undecodable_scenario_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.scenario"
+    path.write_bytes(b"\xff\xfe" + json.dumps(fig1_doc()).encode("utf-16-le"))
+    assert main(["run", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read scenario file: ") and "utf-8" in err
+
+
+def test_over_nested_scenario_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.scenario"
+    path.write_text("[" * 100_000)
+    assert main(["run", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: $: not valid JSON: nested too deeply\n"
+
+
 def test_console_script_is_installed():
     # Runs without an install: the module entry point from the source tree,
     # plus the console-script declaration that an install would wire up.

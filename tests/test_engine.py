@@ -90,6 +90,20 @@ def test_dual_instrument_is_adjoint_of_apply_instrument(dim_s, dim_a):
             assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("dim_s", [2, 3, 4])
+@pytest.mark.parametrize("dim_a", [2, 3, 4])
+def test_stacked_apply_instrument_equals_each_operand(dim_s, dim_a):
+    rng = np.random.default_rng(300 + 10 * dim_s + dim_a)
+    model = random_model(dim_s, dim_a, rng)
+    operands = rng.normal(size=(2, 3, dim_s, dim_s)) + 1j * rng.normal(size=(2, 3, dim_s, dim_s))
+    operands[0, 0] = random_density(dim_s, rng).matrix
+    for label in model.outcomes:
+        stacked = apply_instrument(model, operands, label)
+        assert stacked.shape == operands.shape
+        for index in np.ndindex(*operands.shape[:2]):
+            assert np.array_equal(stacked[index], apply_instrument(model, operands[index], label))
+
+
 def test_apply_instrument_unknown_outcome():
     model = identity_model(np.diag([0.3, 0.7]).astype(complex))
     with pytest.raises(KeyError):

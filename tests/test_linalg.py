@@ -79,6 +79,19 @@ def test_partial_trace_product_state():
     assert_allclose(partial_trace(x, 2, 3, over="system"), b * np.trace(a), atol=1e-12)
 
 
+def test_kron_and_partial_trace_take_stacks_matrix_by_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    stacked = kron(a, b)
+    assert stacked.shape == (4, 6, 6)
+    assert np.array_equal(stacked, np.stack([kron(m, b) for m in a]))
+    assert np.array_equal(kron(b, a), np.stack([kron(b, m) for m in a]))
+    for over in ("apparatus", "system"):
+        want = np.stack([partial_trace(x, 2, 3, over) for x in stacked])
+        assert np.array_equal(partial_trace(stacked, 2, 3, over), want)
+
+
 def test_partial_trace_bell_marginals():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / np.sqrt(2.0)

@@ -30,3 +30,10 @@ def test_scaling_script_writes_its_schema(tmp_path):
         assert entry["wall_s_median"] > 0 and entry["peak_rss_mb_max"] > 0
         (sample,) = entry["samples"]
         assert len(sample["stdout_sha256"]) == 64
+    selftest = report["sides"]["change"]["selftest"]
+    assert report["selftest_seeds"] == [entry["seed"] for entry in selftest] == [0, 1, 2, 3, 4]
+    for entry in selftest:
+        assert entry["exit"] == [0] and entry["wall_s_median"] > 0 and len(entry["stdout_sha256"]) == 1
+    comparison = report["comparison"]
+    assert comparison["selftest_wall_ratio"] == {"change": 1.0}
+    assert set(comparison["stdout_sha256"]) == {"2x2 run", "2x2 theorems"} | {f"seed {s} selftest" for s in range(5)}

@@ -603,11 +603,10 @@ def test_spreads_keep_the_per_report_arithmetic(xs):
 def test_blockwise_matches_direct_on_fig1():
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
-    before, after = blockwise_conditional_values(
-        setup.model, rho, setup.observable, setup.conserved, "+"
-    )
-    assert before == pytest.approx(0.9336477008475339, abs=1e-11)
-    assert after == pytest.approx(0.54691816067802734, abs=1e-11)
+    before, after = blockwise_conditional_values(setup.model, rho, setup.observable, setup.conserved)
+    plus = setup.model.outcomes.index("+")
+    assert before[plus] == pytest.approx(0.9336477008475339, abs=1e-11)
+    assert after[plus] == pytest.approx(0.54691816067802734, abs=1e-11)
 
 
 def test_blockwise_matches_direct_on_random_conserving_models():
@@ -617,12 +616,12 @@ def test_blockwise_matches_direct_on_random_conserving_models():
         rho = random_density(2, rng)
         obs = random_diagonal_observable(2, rng)
         values = CompiledModel(model, obs).evaluate(rho)
-        for label in model.outcomes:
-            try:
-                before, after = blockwise_conditional_values(model, rho, obs, q, label)
-            except Exception as exc:
-                assert isinstance(exc, ZeroProbabilityOutcome)
-                continue
+        try:
+            befores, afters = blockwise_conditional_values(model, rho, obs, q)
+        except Exception as exc:
+            assert isinstance(exc, ZeroProbabilityOutcome)
+            continue
+        for label, before, after in zip(model.outcomes, befores, afters):
             direct = values[label].report()
             direct_before, direct_after = direct.before, direct.after
             assert abs(before - direct_before) < 1e-9
@@ -635,14 +634,24 @@ def test_blockwise_nan_probability_raises_instead_of_nan_values():
     varrho[1, 1] = np.nan
     model = MeasurementModel(DensityState(varrho), setup.model.unitary, setup.model.pointer)
     with pytest.raises(ZeroProbabilityOutcome, match="nan"):
-        blockwise_conditional_values(model, setup.system_state(0.0), setup.observable, setup.conserved, "+")
+        blockwise_conditional_values(model, setup.system_state(0.0), setup.observable, setup.conserved)
+
+
+def test_blockwise_names_the_first_zero_probability_outcome():
+    # U = 1 and the apparatus in level 0: every other pointer level has p = 0.
+    model = MeasurementModel(DensityState(np.diag([1.0, 0.0, 0.0]).astype(complex)), np.eye(6), number_pointer(3))
+    q = ConservedQuantity(number_operator(2), number_operator(3))
+    rho = DensityState(np.diag([0.3, 0.7]).astype(complex))
+    obs = ObservableOp(np.diag([-1.0, 1.0]))
+    with pytest.raises(ZeroProbabilityOutcome, match=f"^outcome {model.outcomes[1]!r} "):
+        blockwise_conditional_values(model, rho, obs, q)
 
 
 def test_blockwise_rejects_noncommuting_observable():
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
     with pytest.raises(ValueError, match="precondition"):
-        blockwise_conditional_values(setup.model, rho, ObservableOp(SIGMA_X), setup.conserved, "+")
+        blockwise_conditional_values(setup.model, rho, ObservableOp(SIGMA_X), setup.conserved)
 
 
 def test_blockwise_rejects_nonconserving_unitary():
@@ -656,7 +665,7 @@ def test_blockwise_rejects_nonconserving_unitary():
     rho = DensityState(np.diag([0.3, 0.7]).astype(complex))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
     with pytest.raises(ValueError, match="conservation"):
-        blockwise_conditional_values(model, rho, obs, q, "+")
+        blockwise_conditional_values(model, rho, obs, q)
 
 
 def test_random_conserving_unitary_commutes():

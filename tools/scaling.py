@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Wall time and peak memory of ``symcond run`` and ``symcond theorems``
-over Jaynes-Cummings sizes.
+over Jaynes-Cummings sizes, and of ``symcond selftest`` at fixed seeds.
 
-    python3 tools/scaling.py --out BENCH_12.json
-    python3 tools/scaling.py --side parent=../parent/src --side change=src --out BENCH_12.json
+    python3 tools/scaling.py --out BENCH_14.json
+    python3 tools/scaling.py --side parent=../parent/src --side change=src --out BENCH_14.json
     python3 tools/scaling.py --sizes 2x2 --repeat 1 --out /tmp/smoke.json
 
 Each case is a seeded JC scenario (default one-outcome-per-level pointer,
@@ -16,7 +16,11 @@ stdout so sides can be checked for identical output. Sides alternate
 within each case, so host-speed drift hits them alike.
 
 Two legs: a narrow system (dim_s = 2, dim_a up to 256, n up to 512) and a
-wide one (dim_s up to 128). Timings are recorded, never gated.
+wide one (dim_s up to 128). ``symcond selftest`` runs the same way once
+per ``SYMCOND_SEED`` in ``SELFTEST_SEEDS``. The ``comparison`` section
+lists the distinct stdout digests of every (case or seed, command) across
+sides, and each side's selftest wall time (sum of the per-seed medians)
+relative to the first side. Timings are recorded, never gated.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ COMMANDS = ("run", "theorems")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SCHEMA = "symcond-scaling/1"
 SEED = 0  # of the generated scenarios
+SELFTEST_SEEDS = (0, 1, 2, 3, 4)
 
 
 def scenario_document(dim_s: int, dim_a: int) -> str:
@@ -86,6 +91,36 @@ def timed_run(argv: list[str], env: dict[str, str]) -> dict:
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KB on Linux
         "exit": proc.returncode,
         "stdout_sha256": digest,
+    }
+
+
+def summary(samples: list[dict]) -> dict:
+    """Median wall time, largest peak RSS, and the distinct exit codes and digests of repeated runs."""
+    return {
+        "wall_s_median": statistics.median(s["wall_s"] for s in samples),
+        "peak_rss_mb_max": max(s["peak_rss_mb"] for s in samples),
+        "exit": sorted({s["exit"] for s in samples}),
+        "stdout_sha256": sorted({s["stdout_sha256"] for s in samples}),
+        "samples": samples,
+    }
+
+
+def comparison(results: dict) -> dict:
+    """Distinct stdout digests per (case or seed, command) across all sides,
+    and each side's total selftest wall time relative to the first side's."""
+    digests: dict[str, set[str]] = {}
+    for side in results.values():
+        for case in side["cases"]:
+            for cmd in COMMANDS:
+                digests.setdefault(f"{case['dim_s']}x{case['dim_a']} {cmd}", set()).update(case[cmd]["stdout_sha256"])
+        for entry in side["selftest"]:
+            digests.setdefault(f"seed {entry['seed']} selftest", set()).update(entry["stdout_sha256"])
+    walls = {label: round(sum(e["wall_s_median"] for e in side["selftest"]), 4) for label, side in results.items()}
+    first = next(iter(walls))
+    return {
+        "stdout_sha256": {key: sorted(values) for key, values in digests.items()},
+        "selftest_wall_s": walls,
+        "selftest_wall_ratio": {label: round(wall / walls[first], 4) for label, wall in walls.items()},
     }
 
 
@@ -146,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     env_base = dict(os.environ, **{var: "1" for var in BLAS_VARS})
 
-    results = {label: {"cases": []} for label in sides}
+    results = {label: {"cases": [], "selftest": []} for label in sides}
     with tempfile.TemporaryDirectory() as tmp:
         for leg, ds, da in cases:
             path = Path(tmp) / f"jc_{ds}x{da}.scenario"
@@ -162,13 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             for label in sides:
                 entry = {"leg": leg, "dim_s": ds, "dim_a": da, "n": ds * da}
                 for cmd, samples in runs[label].items():
-                    entry[cmd] = {
-                        "wall_s_median": statistics.median(s["wall_s"] for s in samples),
-                        "peak_rss_mb_max": max(s["peak_rss_mb"] for s in samples),
-                        "exit": sorted({s["exit"] for s in samples}),
-                        "stdout_sha256": sorted({s["stdout_sha256"] for s in samples}),
-                        "samples": samples,
-                    }
+                    entry[cmd] = summary(samples)
                 results[label]["cases"].append(entry)
                 print(
                     f"{label:>8} {leg:>6} {ds:>3}x{da:<3} "
@@ -179,13 +208,25 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
 
+    for seed in SELFTEST_SEEDS:
+        runs = {label: [] for label in sides}
+        for r in range(args.repeat):
+            for label in list(sides) if r % 2 == 0 else list(reversed(sides)):
+                env = dict(env_base, PYTHONPATH=str(sides[label]), SYMCOND_SEED=str(seed))
+                runs[label].append(timed_run([sys.executable, "-m", "symcond", "selftest"], env))
+        for label, samples in runs.items():
+            results[label]["selftest"].append({"seed": seed, **summary(samples)})
+            print(f"{label:>8} selftest seed {seed} {statistics.median(s['wall_s'] for s in samples):.3f}s", file=sys.stderr)
+
     report = {
         "schema": SCHEMA,
         "commands": list(COMMANDS),
         "repeat": args.repeat,
         "seed": SEED,
+        "selftest_seeds": list(SELFTEST_SEEDS),
         "fingerprint": fingerprint(),
         "sides": results,
+        "comparison": comparison(results),
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
