@@ -14,6 +14,7 @@ maps these to distinct exit codes.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -218,6 +219,14 @@ def parse_complex_matrix(node, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _square_matrix(node, path: str) -> np.ndarray:
+    """:func:`parse_complex_matrix`, rejecting a non-square matrix by field path."""
+    m = parse_complex_matrix(node, path)
+    if m.shape[0] != m.shape[1]:
+        raise ScenarioError(path, f"expected a square matrix, got {m.shape[0]}×{m.shape[1]}")
+    return m
+
+
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
     """Inverse of :func:`parse_complex_matrix`, for report writers."""
     return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m, dtype=complex)]
@@ -233,7 +242,7 @@ def _parse_state(node, path: str) -> tuple[DensityState | None, QubitCoherentSta
         phase = _number(c.get("phase", 0.0), f"{path}.coherent.phase")
         return None, QubitCoherentState(polar=polar, phase=phase)
     if "matrix" in node:
-        return DensityState(parse_complex_matrix(node["matrix"], f"{path}.matrix")), None
+        return DensityState(_square_matrix(node["matrix"], f"{path}.matrix")), None
     raise ScenarioError(path, "state needs either 'coherent' or 'matrix'")
 
 
@@ -334,7 +343,7 @@ def _parse_observable(node, dim_s: int, path: str) -> ObservableOp:
             )
         return ObservableOp(m)
     if isinstance(node, dict) and "matrix" in node:
-        m = parse_complex_matrix(node["matrix"], f"{path}.matrix")
+        m = _square_matrix(node["matrix"], f"{path}.matrix")
         if m.shape[0] != dim_s:
             raise ScenarioError(
                 f"{path}.matrix", f"dimension {m.shape[0]} does not match system dimension {dim_s}"
@@ -347,8 +356,8 @@ def _parse_conserved(node, dim_s: int, dim_a: int, path: str) -> ConservedQuanti
     if node == "number":
         return ConservedQuantity(number_operator(dim_s), number_operator(dim_a))
     if isinstance(node, dict) and "system" in node and "apparatus" in node:
-        ls = parse_complex_matrix(node["system"], f"{path}.system")
-        la = parse_complex_matrix(node["apparatus"], f"{path}.apparatus")
+        ls = _square_matrix(node["system"], f"{path}.system")
+        la = _square_matrix(node["apparatus"], f"{path}.apparatus")
         if ls.shape[0] != dim_s:
             raise ScenarioError(f"{path}.system", f"dimension {ls.shape[0]} != system {dim_s}")
         if la.shape[0] != dim_a:
@@ -374,10 +383,28 @@ def _validate_or_raise(obj, name: str, tol: float) -> None:
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
-    """Parse and validate a scenario document from a string."""
+    """Parse and validate a scenario document from a string.
+
+    The cyclic garbage collector is paused while the decoded document is
+    alive and then restored to the state it was found in (left off if it
+    was off). A decoded document is a tree, so reference counting frees
+    it; a collection started by its thousands of lists would only promote
+    them and bring on a full collection of the caller's heap later.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_document(text, source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_document(text: str, source: str) -> Scenario:
+    """:func:`parse_scenario`'s body; the document dies when this returns."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over int's digit limit
         raise ScenarioError("$", f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ScenarioError("$", "not valid JSON: nested too deeply") from None

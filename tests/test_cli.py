@@ -81,6 +81,40 @@ def test_run_malformed_json_exit_code(tmp_path, capsys):
     assert rc == EXIT_PARSE
     err = capsys.readouterr().err
     assert "not valid JSON" in err
+    # An integer literal past int's 4,300-digit conversion limit makes
+    # json.loads raise a plain ValueError, not a JSONDecodeError.
+    p.write_text('{"theta": 1' + "0" * 5000 + "}")
+    assert main(["run", str(p)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: $: not valid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "system_state.matrix",
+        "model.apparatus_state.matrix",
+        "observable.matrix",
+        "conserved.system",
+        "conserved.apparatus",
+    ],
+)
+def test_non_square_matrix_is_parse_error(tmp_path, capsys, field, command):
+    doc = fig1_doc()
+    half = matrix_to_pairs(np.eye(2) / 2)
+    number = matrix_to_pairs(np.diag([0.0, 1.0]))
+    doc["system_state"] = {"matrix": half}
+    doc["model"]["apparatus_state"] = {"matrix": half}
+    doc["observable"] = {"matrix": matrix_to_pairs(np.diag([-1.0, 1.0]))}
+    doc["conserved"] = {"system": number, "apparatus": number}
+    *parents, last = field.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[last] = matrix_to_pairs(np.ones((2, 3)) / 2)
+    assert main([command, write_doc(tmp_path, doc)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {field}: expected a square matrix, got 2×3\n"
 
 
 def test_run_invariant_violation_exit_code(tmp_path, capsys):

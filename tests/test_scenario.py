@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from symcond import (
     load_scenario,
     parse_scenario,
 )
+from symcond.sampling import random_density
 from symcond.scenario import matrix_to_pairs, parse_complex_matrix
 
 
@@ -271,3 +273,71 @@ def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(tmp_path / "absent.scenario")
     assert "cannot read" in str(err.value)
+
+
+def jc_wide_text() -> str:
+    """dim_s = 2, dim_a = 64 JC scenario with a full 64×64 apparatus state."""
+    rng = np.random.default_rng(15)
+    doc = {
+        "model": {
+            "kind": "jaynes-cummings",
+            "dim_s": 2,
+            "dim_a": 64,
+            "theta": 0.9,
+            "apparatus_state": {"matrix": matrix_to_pairs(random_density(64, rng).matrix)},
+        },
+        "system_state": {"coherent": {"polar": 0.8, "phase": 0.3}},
+        "observable": "sigma_z",
+        "conserved": "number",
+    }
+    return json.dumps(doc)
+
+
+@pytest.fixture
+def collector_on():
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+def test_parse_runs_no_collection_and_leaves_no_garbage(collector_on):
+    # Decoding the 64×64 matrix builds ~4,200 lists; without the pause
+    # they trip several gen-0 collections while alive and get promoted.
+    text = jc_wide_text()
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    scenario = parse_scenario(text)
+    assert gc.get_stats()[0]["collections"] == before
+    assert gc.collect() == 0  # the parse built no reference cycles
+    assert gc.isenabled()
+    assert scenario.model.dim_a == 64
+
+
+def _invariant_broken(text: str) -> str:
+    doc = json.loads(text)
+    doc["model"]["apparatus_state"] = {"matrix": matrix_to_pairs(np.eye(64) / 32)}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "make, raises",
+    [
+        (lambda t: t, None),
+        (lambda t: t.replace('"theta": 0.9', '"theta": "x"'), ScenarioError),
+        (_invariant_broken, InvariantViolation),
+    ],
+    ids=["parsed", "scenario-error", "invariant-violation"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_restores_the_collector_state(collector_on, make, raises, enabled):
+    text = make(jc_wide_text())
+    if not enabled:
+        gc.disable()
+    if raises is None:
+        parse_scenario(text)
+    else:
+        with pytest.raises(raises):
+            parse_scenario(text)
+    assert gc.isenabled() is enabled
