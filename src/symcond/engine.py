@@ -29,28 +29,24 @@ equalities from one 2×2 grid of its results (original or decohered
 apparatus × ρ or Φ_{L_S}(ρ)).
 
 The compile never forms U†(O ⊗ P^x)U. The partial trace over A is cyclic
-for apparatus-only factors, so with G = U(1 ⊗ ϱ) and V = (O† ⊗ 1)U
+for apparatus-only factors, so with G = U(1 ⊗ ϱ) and V_a = (a† ⊗ 1)U
 
-    M(x) = tr_A[U† (1 ⊗ P^x) G],    K(x) = tr_A[V† (1 ⊗ P^x) G].
+    M(x) = tr_A[U† (1 ⊗ P^x) G],    K(x) = tr_A[V_O† (1 ⊗ P^x) G].
 
-Contracting the system row index and the traced apparatus index first
-gives, for W = U and W = V, T_W[c, s, d, t] = Σ_{r,a} conj(W[(r,c),(s,a)])
-G[(r,d),(t,a)], one n×n product each, and then every outcome at once as
-Σ_cd P^x_cd T_W[c, s, d, t]. A compile costs about 2n³ + n²·d_a for
-n = d_s·d_a, instead of 4|X|·n³ for the sandwiches.
-
-A diagonal pointer (every P^x = Σ_c w_xc |c⟩⟨c| in the apparatus basis,
-as any pointer compatible with a non-degenerate L_A = N_A is) needs only
-the level-diagonal blocks c = d. With conj(V_a) = (aᵀ ⊗ 1)·conj(U), one
-product for all k operators a at once, each level c gives
+The pointer enters as its level table P^x = B diag(w_x) B†
+(``PointerObservable.levels``; B = 1 for a pointer diagonal in the
+apparatus basis). With U's apparatus rows taken to B's basis,
+U ← (1 ⊗ B†)U, only level-diagonal blocks are needed: with
+conj(V_a) = (aᵀ ⊗ 1)·conj(U), one product for all k operators a at once,
+each level c gives
 
     T^a_c[s, t] = Σ_{r,α} conj(V_a)[(r,c),(s,α)] G[(r,c),(t,α)],
 
 one batched (d_a, k·d_s, n)·(d_a, n, d_s) product over c, and the branch
 operator of outcome x is the level sum Σ_c w_xc T^a_c, one (|X| × d_a)
 product. Neither a nor w is assumed Hermitian, real or 0/1. This costs
-about 2k·n²·d_s + n²·d_a work and O(k·n²) memory, instead of
-2n³ + n²·d_a.
+about 2k·n²·d_s + n²·d_a work (n = d_s·d_a; n²·d_a more when B ≠ 1) and
+O(k·n²) memory, instead of 4|X|·n³ for the sandwiches.
 
 :func:`dual_instrument` (the Heisenberg sandwich, one outcome at a time)
 and :func:`apply_instrument` (the Schrödinger-picture instrument, on one
@@ -139,36 +135,24 @@ def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...])
 
     Returns the (len(operators), |X|, d_s, d_s) stack whose [k, i] entry
     equals ``dual_instrument(model, operators[k], model.outcomes[i])``,
-    built by the shared contraction of G = U(1 ⊗ ϱ) given in the module
-    docstring, never forming U†(a ⊗ P^x)U. A diagonal pointer
-    (``model.pointer.diagonals`` is not None) takes the level-sum route,
-    about 2k·n²·d_s + n²·d_a work in O(k·n²) memory for k operators; any
-    other pointer takes the dense route, about 2n³ + n²·d_a.
+    built by the level-sum contraction of the module docstring from the
+    pointer's level table, never forming U†(a ⊗ P^x)U: about
+    2k·n²·d_s + n²·d_a work in O(k·n²) memory for k operators.
     """
     ds, da = model.dim_s, model.dim_a
     n = ds * da
+    basis, weights = model.pointer.levels
     u = model.unitary
+    if basis is not None:
+        u = (dagger(basis) @ u.reshape(ds, da, n)).reshape(n, n)  # rows (r, B-level)
     g = (u.reshape(n * ds, da) @ model.apparatus_state.matrix).reshape(ds, da, ds, da)
-    weights = model.pointer.diagonals
-    if weights is not None:
-        k = len(operators)
-        a_t = np.stack(operators).transpose(0, 2, 1).reshape(k * ds, ds)  # [(k, r), r']
-        v = (a_t @ u.conj().reshape(ds, da * n)).reshape(k, ds, da, ds, da)  # [k, r, c, s, α]
-        left = v.transpose(2, 0, 3, 1, 4).reshape(da, k * ds, n)  # [c, (k, s), (r, α)]
-        right = g.transpose(1, 2, 0, 3).reshape(da, ds, n)  # [c, t, (r, α)]
-        t = (left @ right.transpose(0, 2, 1)).reshape(da, k * ds * ds)  # T^a_c[s, t]
-        return (weights @ t).reshape(-1, k, ds, ds).transpose(1, 0, 2, 3)
-    right = g.transpose(0, 3, 1, 2).reshape(n, n)  # [(r, a), (d, t)]
-    projectors = np.stack(model.pointer.projectors).reshape(-1, da * da).T  # [(c, d), x]
-    stacks = []
-    # One operator at a time: the n×n temporaries are not multiplied by
-    # the operator count, and the products cost the same.
-    for a in operators:
-        v = (dagger(a) @ u.reshape(ds, da * n)).reshape(ds, da, ds, da)  # [r, c, s, a]
-        t = v.conj().transpose(1, 2, 0, 3).reshape(n, n) @ right  # [(c, s), (d, t)]
-        t = t.reshape(da, ds, da, ds).transpose(1, 3, 0, 2).reshape(ds * ds, da * da)
-        stacks.append((t @ projectors).reshape(ds, ds, -1).transpose(2, 0, 1))
-    return np.stack(stacks)
+    k = len(operators)
+    a_t = np.stack(operators).transpose(0, 2, 1).reshape(k * ds, ds)  # [(k, r), r']
+    v = (a_t @ u.conj().reshape(ds, da * n)).reshape(k, ds, da, ds, da)  # [k, r, c, s, α]
+    left = v.transpose(2, 0, 3, 1, 4).reshape(da, k * ds, n)  # [c, (k, s), (r, α)]
+    right = g.transpose(1, 2, 0, 3).reshape(da, ds, n)  # [c, t, (r, α)]
+    t = (left @ right.transpose(0, 2, 1)).reshape(da, k * ds * ds)  # T^a_c[s, t]
+    return (weights @ t).reshape(-1, k, ds, ds).transpose(1, 0, 2, 3)
 
 
 def induced_povm(model: MeasurementModel) -> EffectSet:
@@ -228,9 +212,9 @@ class CompiledModel:
 
     Built once per (model, observable): for every outcome x it stacks M(x),
     M(x)·O and K(x), the d_s×d_s images of :func:`dual_instrument`, with
-    one :func:`branch_operators` call (about 2n³ + n²·d_a work, or
-    4n²·d_s + n²·d_a for a diagonal pointer, whatever the number of
-    outcomes).
+    one :func:`branch_operators` call (about 4n²·d_s + n²·d_a work,
+    whatever the number of outcomes); a pointer without a level table
+    (projectors that share no eigenbasis) raises ValueError.
     :meth:`evaluate` then costs one stacked d_s×d_s product per state,
     whatever the apparatus dimension; :meth:`traces`, the kernel under it,
     takes a (G, d_s, d_s) stack of states as readily as one state.

@@ -60,16 +60,12 @@ class PointerObservable:
     """Projective pointer readout: outcome labels with orthogonal projectors.
 
     Outcome labels are opaque strings. ``values`` optionally attaches a real
-    eigenvalue to each outcome; it is only needed where the pointer enters a
-    formula as an operator (e.g. commutator checks), in which case
-    :meth:`as_operator` assembles Σ_x x·P^x.
-
-    A pointer is *diagonal* when every projector is diagonal in the
-    apparatus basis, P^x = Σ_c w_xc |c⟩⟨c|; :attr:`diagonals` then holds the
-    weights w. A pointer compatible with a non-degenerate L_A = N_A is
-    always diagonal, since [P^x, L_A] = 0 forces it. For such pointers the
-    compile, the validation and the cross-element check sum over each
-    outcome's levels instead of multiplying d_a×d_a projectors.
+    eigenvalue to each outcome for :meth:`as_operator` (Σ_x x·P^x); no
+    check or route reads them. Every route reads the pointer as its
+    :attr:`levels` table, summing over each outcome's levels instead of
+    multiplying d_a×d_a projectors. A pointer is *diagonal* when every
+    P^x = Σ_c w_xc |c⟩⟨c| in the apparatus basis, as any pointer compatible
+    with a non-degenerate L_A = N_A is; :attr:`diagonals` then holds w.
     """
 
     outcomes: tuple[str, ...]
@@ -110,6 +106,31 @@ class PointerObservable:
         if sum(map(np.count_nonzero, self.projectors)) != np.count_nonzero(table):
             return None
         return table
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """(B, w): a unitary B and the (|X|, d_a) table w with B†P^xB = diag(w_x).
+
+        A diagonal pointer gives (None, :attr:`diagonals`). Otherwise B holds
+        the eigenvectors of Σ_x c_x P^x for distinct c_x. Projectors that
+        share no eigenbasis leave B†P^xB an off-diagonal residual above
+        DEFAULT_TOL, and ValueError is raised rather than a wrong table."""
+        if self.diagonals is not None:
+            return None, self.diagonals
+        basis, table, residual = self._rotation
+        if not residual <= DEFAULT_TOL:
+            raise ValueError(f"pointer projectors share no eigenbasis (residual {residual:.3e})")
+        return basis, table
+
+    @cached_property
+    def _rotation(self) -> tuple[np.ndarray, np.ndarray, float]:
+        # B, w and ‖off-diagonal part of B†P^xB‖, for levels and validate.
+        stack, d = np.array(self.projectors), self.dim
+        _, basis = np.linalg.eigh(np.arange(1.0, len(stack) + 1) @ stack.transpose(1, 0, 2))
+        rotated = (dagger(basis) @ stack @ basis).reshape(len(stack), d * d)
+        table = rotated[:, :: d + 1].copy()  # each row's diagonal, flattened
+        rotated[:, :: d + 1] = 0
+        return basis, table, frob(rotated)
 
     def projector(self, outcome: str) -> np.ndarray:
         try:
@@ -225,6 +246,9 @@ def _check_projector_family(
     r = frob(sum(pointer.projectors) - eye)
     if not r <= tol:
         return Violation("completeness", r)
+    r = pointer._rotation[2]  # above DEFAULT_TOL, PointerObservable.levels raises
+    if not r <= min(tol, DEFAULT_TOL):
+        return Violation("commutation", r)
     return None
 
 

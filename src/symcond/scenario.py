@@ -246,24 +246,32 @@ def _parse_state(node, path: str) -> tuple[DensityState | None, QubitCoherentSta
     raise ScenarioError(path, "state needs either 'coherent' or 'matrix'")
 
 
-def _parse_pointer_partition(node, dim_a: int, path: str) -> PointerObservable:
-    """Number-diagonal pointer node for the exchange-interaction model."""
+def _pointer_fields(node, key: str, what: str, path: str) -> tuple[list, list, list | None]:
+    """Outcome labels, the per-outcome ``key`` list and optional values of a pointer node."""
     outcomes = _require(node, "outcomes", path)
-    blocks = _require(node, "blocks", path)
+    parts = _require(node, key, path)
     if not isinstance(outcomes, list) or not all(isinstance(x, str) for x in outcomes):
         raise ScenarioError(f"{path}.outcomes", "expected an array of labels")
-    if not isinstance(blocks, list) or len(blocks) != len(outcomes):
-        raise ScenarioError(f"{path}.blocks", "expected one level-list per outcome")
-    partition = []
-    for label, levels in zip(outcomes, blocks):
-        if not isinstance(levels, list):
-            raise ScenarioError(f"{path}.blocks", "each block must be an array of levels")
-        partition.append((label, [_integer(k, f"{path}.blocks") for k in levels]))
+    if len(set(outcomes)) != len(outcomes):
+        raise ScenarioError(f"{path}.outcomes", f"duplicate outcome labels in {tuple(outcomes)}")
+    if not isinstance(parts, list) or len(parts) != len(outcomes):
+        raise ScenarioError(f"{path}.{key}", f"expected one {what} per outcome")
     values = node.get("values")
     if values is not None:
         if not isinstance(values, list) or len(values) != len(outcomes):
             raise ScenarioError(f"{path}.values", "expected one value per outcome")
         values = [_number(v, f"{path}.values") for v in values]
+    return outcomes, parts, values
+
+
+def _parse_pointer_partition(node, dim_a: int, path: str) -> PointerObservable:
+    """Number-diagonal pointer node for the exchange-interaction model."""
+    outcomes, blocks, values = _pointer_fields(node, "blocks", "level-list", path)
+    partition = []
+    for label, levels in zip(outcomes, blocks):
+        if not isinstance(levels, list):
+            raise ScenarioError(f"{path}.blocks", "each block must be an array of levels")
+        partition.append((label, [_integer(k, f"{path}.blocks") for k in levels]))
     try:
         return number_pointer(dim_a, partition=partition, values=values)
     except ValueError as exc:
@@ -271,20 +279,8 @@ def _parse_pointer_partition(node, dim_a: int, path: str) -> PointerObservable:
 
 
 def _parse_explicit_pointer(node, path: str) -> PointerObservable:
-    outcomes = _require(node, "outcomes", path)
-    projectors = _require(node, "projectors", path)
-    if not isinstance(outcomes, list) or not all(isinstance(x, str) for x in outcomes):
-        raise ScenarioError(f"{path}.outcomes", "expected an array of labels")
-    if not isinstance(projectors, list) or len(projectors) != len(outcomes):
-        raise ScenarioError(f"{path}.projectors", "expected one matrix per outcome")
-    mats = [
-        parse_complex_matrix(p, f"{path}.projectors[{i}]") for i, p in enumerate(projectors)
-    ]
-    values = node.get("values")
-    if values is not None:
-        if not isinstance(values, list) or len(values) != len(outcomes):
-            raise ScenarioError(f"{path}.values", "expected one value per outcome")
-        values = tuple(_number(v, f"{path}.values") for v in values)
+    outcomes, projectors, values = _pointer_fields(node, "projectors", "matrix", path)
+    mats = [parse_complex_matrix(p, f"{path}.projectors[{i}]") for i, p in enumerate(projectors)]
     try:
         return PointerObservable(tuple(outcomes), tuple(mats), values)
     except ValueError as exc:

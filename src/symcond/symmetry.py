@@ -117,16 +117,17 @@ def check_conservation(model: MeasurementModel, quantity: ConservedQuantity) -> 
 
 
 def check_yanase(model: MeasurementModel, quantity: ConservedQuantity) -> float:
-    """Residual of the pointer/conserved-quantity compatibility condition.
+    """max_x ‖[P^x, L_A]‖_F: every pointer projector must commute with L_A.
 
-    With outcome values attached this is ‖[Z_A, L_A]‖_F for the assembled
-    pointer operator; for label-only pointers every projector must commute
-    with L_A individually, and the max residual is returned.
+    From the pointer's level table: with L = B†L_A B, [P^x, L_A] has entries
+    (w_xi − w_xj)·L_ij in B's basis. Outcome values are not read: Σ_x v_x P^x
+    may commute with L_A while the P^x do not, and the theorems need each.
     """
+    basis, weights = model.pointer.levels
     la = quantity.apparatus_part.matrix
-    if model.pointer.values is not None:
-        return frob(commutator(model.pointer.as_operator(), la))
-    return _worst(*(frob(commutator(p, la)) for p in model.pointer.projectors))
+    if basis is not None:
+        la = dagger(basis) @ la @ basis
+    return _worst(*(frob((w[:, None] - w[None, :]) * la) for w in weights))
 
 
 def check_symmetric_product_state(
@@ -157,10 +158,10 @@ def check_cross_elements_imaginary(
     the second hypothesis of the four-way equality chain; it is checked
     per outcome because the source statement does not single one out.)
 
-    For a diagonal pointer, P^x = Σ_c w_xc |c⟩⟨c| selects apparatus rows:
-    with Y = U·(V_S ⊗ V_A) and Y_x its rows (r, c) at the levels c of x,
-    W_x = Y_x† (O ⊗ diag(w_x)) Y_x, about n³ over all outcomes instead of
-    |X| dense n×n sandwiches.
+    From the pointer's level table, P^x = B diag(w_x) B†: with
+    Y = (1 ⊗ B†)·U·(V_S ⊗ V_A) and Y_x its rows (r, c) at the levels c of
+    x, W_x = Y_x† (O ⊗ diag(w_x)) Y_x, about n³ over all outcomes instead
+    of |X| dense n×n sandwiches.
     """
     dec_s, dec_a = quantity.system_spectrum, quantity.apparatus_spectrum
     dim_a = len(dec_a.labels)
@@ -173,24 +174,19 @@ def check_cross_elements_imaginary(
         u = model.unitary  # both parts diagonal: the product eigenbasis is the standard one
     else:
         u = model.unitary @ kron(dec_s.basis, dec_a.basis)
-    weights = model.pointer.diagonals
-    if weights is not None:
-        ds, n = model.dim_s, model.unitary.shape[0]
-        y = u.reshape(ds, dim_a, n)  # rows (r, c)
-        largest = np.zeros((n, n))
-        for w in weights:
-            levels = np.flatnonzero(w)
-            rows = y[:, levels, :]
-            weighted = (observable.matrix @ rows.reshape(ds, -1)).reshape(rows.shape) * w[levels, None]
-            w_x = rows.reshape(-1, n).conj().T @ weighted.reshape(-1, n)
-            np.maximum(largest, np.abs(w_x.real), out=largest)
-        return float(largest[mask].max())
-    residuals = []
-    for label in model.pointer.outcomes:
-        op = kron(observable.matrix, model.pointer.projector(label))
-        w = dagger(u) @ op @ u
-        residuals.append(float(np.abs(w.real[mask]).max()))
-    return _worst(*residuals)
+    basis, weights = model.pointer.levels
+    ds, n = model.dim_s, model.unitary.shape[0]
+    y = u.reshape(ds, dim_a, n)  # rows (r, c)
+    if basis is not None:
+        y = dagger(basis) @ y
+    largest = np.zeros((n, n))
+    for w in weights:
+        levels = np.flatnonzero(w)
+        rows = y[:, levels, :]
+        weighted = (observable.matrix @ rows.reshape(ds, -1)).reshape(rows.shape) * w[levels, None]
+        w_x = rows.reshape(-1, n).conj().T @ weighted.reshape(-1, n)
+        np.maximum(largest, np.abs(w_x.real), out=largest)
+    return float(largest[mask].max())
 
 
 @dataclass
@@ -373,7 +369,7 @@ def verify_theorem1(
 
     hypotheses
         ``conservation``        ‖[U, L_S⊗1 + 1⊗L_A]‖
-        ``yanase``              pointer/L_A compatibility residual
+        ``yanase``              max_x ‖[P^x, L_A]‖ (pointer compatibility)
         ``observable_commutes`` ‖[O, L_S]‖
         ``state_commutes``      ‖[ρ, L_S]‖ (needed by the first branch only)
 

@@ -9,7 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symcond import fig1_scenario_path, load_scenario
+from symcond import (
+    ConservedQuantity,
+    ObservableOp,
+    fig1_scenario_path,
+    load_scenario,
+    random_conserving_unitary,
+)
 from symcond.cli import (
     EXIT_ASSERT,
     EXIT_INVARIANT,
@@ -562,6 +568,80 @@ def test_theorems_asymmetric_phase(tmp_path, capsys):
     rc = main(["theorems", path, "--require", "theorem2", "--quiet"])
     assert rc == EXIT_ASSERT
     capsys.readouterr()
+
+
+def test_theorems_yanase_is_per_projector_whatever_the_values(tmp_path, capsys):
+    # Equal outcome values make Σ_x v_x P^x = 1, which commutes with any
+    # L_A; the number-basis projectors do not commute with L_A = σ_x
+    # (‖[P^x, σ_x]‖_F = √2). A Yanase check on the values would pass and
+    # turn theorem 1's failing equality into a false counterexample.
+    rng = np.random.default_rng(0)
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    quantity = ConservedQuantity(ObservableOp(np.diag([0.0, 1.0])), ObservableOp(sigma_x))
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(random_conserving_unitary(quantity, rng)),
+            "apparatus_state": {"matrix": matrix_to_pairs(np.diag([0.7, 0.3]))},
+            "pointer": {
+                "outcomes": ["a", "b"],
+                "projectors": [matrix_to_pairs(np.diag([1.0, 0.0])), matrix_to_pairs(np.diag([0.0, 1.0]))],
+                "values": [1.0, 1.0],
+            },
+        },
+        "system_state": {"matrix": matrix_to_pairs(np.diag([0.6, 0.4]))},
+        "observable": "sigma_z",
+        "conserved": {
+            "system": matrix_to_pairs(quantity.system_part.matrix),
+            "apparatus": matrix_to_pairs(sigma_x),
+        },
+    }
+    rc = main(["theorems", write_doc(tmp_path, doc), "--format", "json"])
+    verdict = json.loads(capsys.readouterr().out)["theorem1"]
+    assert rc == EXIT_OK
+    assert verdict["hypotheses"]["yanase"]["residual"] == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert not verdict["hypotheses"]["yanase"]["held"]
+    for name in ("conservation", "observable_commutes", "state_commutes"):
+        assert verdict["hypotheses"][name]["held"]
+    # The equality really fails here; it is just no longer claimed.
+    assert not verdict["equalities"]["system_commutes_before"]["held"]
+    assert not verdict["equalities"]["system_commutes_before"]["claimed"]
+
+
+def test_pointer_without_a_level_table_is_invariant_violation(tmp_path, capsys):
+    # The projectors pass the dense checks at the scenario tolerance (their
+    # overlap is 5e-10) but share no eigenbasis to within DEFAULT_TOL, so
+    # no route can read them: exit 3, never a traceback or a number.
+    v = np.array([5e-10, 1.0]) / np.hypot(5e-10, 1.0)
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(np.eye(4)),
+            "apparatus_state": {"matrix": matrix_to_pairs(np.diag([0.5, 0.5]))},
+            "pointer": {"outcomes": ["a", "b"], "projectors": [matrix_to_pairs(np.diag([1.0, 0.0])), matrix_to_pairs(np.outer(v, v))]},
+        },
+        "system_state": {"matrix": matrix_to_pairs(np.diag([0.5, 0.5]))},
+        "observable": "sigma_z",
+        "tolerance": 1e-9,
+    }
+    assert main(["run", write_doc(tmp_path, doc)]) == EXIT_INVARIANT
+    assert "error: model: invariant 'pointer.commutation' violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["jaynes-cummings", "explicit"])
+def test_duplicate_outcome_labels_name_the_outcomes_field(kind, tmp_path, capsys):
+    doc = fig1_doc()
+    if kind == "explicit":
+        doc["model"] = {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(np.eye(4)),
+            "apparatus_state": {"matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
+            "pointer": {"projectors": [matrix_to_pairs(np.diag([1.0, 0.0])), matrix_to_pairs(np.diag([0.0, 1.0]))]},
+        }
+    doc["model"]["pointer"]["outcomes"] = ["+", "+"]
+    rc = main(["run", write_doc(tmp_path, doc)])
+    assert rc == EXIT_PARSE
+    assert "error: model.pointer.outcomes: duplicate outcome labels in ('+', '+')" in capsys.readouterr().err
 
 
 def test_selftest_passes_and_is_seeded(capsys, monkeypatch):

@@ -264,9 +264,9 @@ def test_compiled_model_matches_dual_instrument(dim_s, dim_a):
     # The compiled stacks M(x), M(x)·O and K(x) against the per-outcome
     # Heisenberg sandwich, for a non-Hermitian observable and apparatus
     # state, so no symmetry of the inputs can hide an index mistake.
-    # Rotated projectors are not diagonal in the product basis and take
-    # the dense route; unrotated ones take the level-sum route, one of
-    # them with a weight that is neither 0 nor 1.
+    # Rotated projectors are not diagonal in the product basis and are
+    # read through their rotated level table; unrotated ones sum over
+    # their levels directly, one of them with a weight neither 0 nor 1.
     rng = np.random.default_rng(500 + 10 * dim_s + dim_a)
     n = dim_s * dim_a
 

@@ -124,6 +124,22 @@ def test_diagonal_pointer_validation_matches_the_pairwise_loop(diagonals, invari
         assert got.residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("overlap, invariant", [(1e-11, None), (5e-11, "commutation"), (9e-11, "completeness")])
+def test_validation_requires_a_level_table(overlap, invariant):
+    # Nearly orthogonal projectors pass the dense checks, but every route
+    # reads the pointer's level table, which they may not have; validation
+    # fails exactly where PointerObservable.levels would raise.
+    v = np.array([overlap, 1.0]) / np.hypot(overlap, 1.0)
+    pointer = PointerObservable(("a", "b"), (np.diag([1.0, 0.0]).astype(complex), np.outer(v, v)))
+    violation = validate(pointer)
+    assert (violation and violation.invariant) == invariant
+    if invariant == "commutation":
+        with pytest.raises(ValueError, match="share no eigenbasis"):
+            pointer.levels
+    elif invariant is None:
+        assert pointer.levels[0] is not None
+
+
 def test_validate_model_flags_bad_apparatus_state():
     ptr = PointerObservable(
         ("-", "+"), (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))

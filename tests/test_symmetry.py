@@ -26,6 +26,7 @@ from symcond import (
     decohere,
     fig1_scenario_path,
     load_scenario,
+    validate,
     verify_theorem1,
     verify_theorem2,
     verify_theorems,
@@ -269,7 +270,7 @@ def test_check_yanase_cases():
 
 
 def test_check_yanase_label_only_pointer():
-    # Without eigenvalues the check falls back to per-projector commutators.
+    # Without eigenvalues the check is the same per-projector residual.
     xi = DensityState(np.diag([0.4, 0.6]).astype(complex))
     q = ConservedQuantity(number_operator(2), number_operator(2))
     unlabeled = MeasurementModel(xi, np.eye(4, dtype=complex), number_pointer(2))
@@ -292,6 +293,51 @@ def test_check_yanase_label_only_pointer_propagates_nan():
     pointer = PointerObservable(("a", "b"), (np.diag([1.0, 0.0]).astype(complex), broken))
     model = MeasurementModel(xi, np.eye(4, dtype=complex), pointer)
     assert np.isnan(check_yanase(model, q))
+
+
+def test_check_yanase_does_not_read_outcome_values():
+    # Equal values make Σ_x v_x P^x = 1, which commutes with everything;
+    # the residual is the projectors' own, whatever values are attached.
+    xi = DensityState(np.diag([0.4, 0.6]).astype(complex))
+    q = ConservedQuantity(number_operator(2), ObservableOp(SIGMA_X))
+    residuals = [
+        check_yanase(MeasurementModel(xi, np.eye(4, dtype=complex), number_pointer(2, values=values)), q)
+        for values in (None, [1.0, 1.0], [1.0, -1.0])
+    ]
+    assert residuals == [residuals[0]] * 3
+    assert residuals[0] == pytest.approx(np.sqrt(2), abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_yanase_matches_dense_commutators(seed):
+    # random_pointer projectors are not diagonal in the apparatus basis, so
+    # the check reads their rotated level table; the oracle forms every
+    # commutator [P^x, L_A] densely.
+    rng = np.random.default_rng(70 + seed)
+    dim_a = 2 + seed % 4
+    model = MeasurementModel(random_density(dim_a, rng), random_unitary(2 * dim_a, rng), random_pointer(dim_a, rng))
+    assert model.pointer.levels[0] is not None
+    la = random_hermitian(dim_a, rng)
+    want = max(frob(p @ la - la @ p) for p in model.pointer.projectors)
+    got = check_yanase(model, ConservedQuantity(number_operator(2), ObservableOp(la)))
+    assert abs(got - want) < 1e-12
+
+
+def test_non_commuting_projectors_have_no_level_table():
+    # |0⟩⟨0| and |+⟩⟨+| share no eigenbasis: every route that reads the
+    # level table refuses the pointer, and validation names the defect.
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    pointer = PointerObservable(("0", "+"), (np.diag([1.0, 0.0]).astype(complex), plus))
+    model = MeasurementModel(DensityState(np.diag([0.4, 0.6]).astype(complex)), np.eye(4, dtype=complex), pointer)
+    q = ConservedQuantity(number_operator(2), number_operator(2))
+    obs = ObservableOp(np.diag([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="share no eigenbasis"):
+        CompiledModel(model, obs)
+    with pytest.raises(ValueError, match="share no eigenbasis"):
+        check_cross_elements_imaginary(model, obs, q)
+    with pytest.raises(ValueError, match="share no eigenbasis"):
+        check_yanase(model, q)
+    assert validate(pointer).invariant == "orthogonality"
 
 
 def test_check_symmetric_product_state_fig1_residuals():
@@ -350,7 +396,7 @@ def test_check_cross_elements_identity_unitary():
 
 def _nan_observable_instance():
     # A conserving 2×3 model whose random pointer is not diagonal in the
-    # number basis (so checks take their dense routes), with the
+    # number basis (so checks read its rotated level table), with the
     # observable diag(NaN, 1).
     rng = np.random.default_rng(44)
     model, q = random_number_conserving_model(2, 3, rng)
@@ -360,7 +406,7 @@ def _nan_observable_instance():
     return model, random_density(2, rng), obs, q
 
 
-def test_check_cross_elements_dense_route_propagates_nan():
+def test_check_cross_elements_rotated_route_propagates_nan():
     model, _, obs, q = _nan_observable_instance()
     assert np.isnan(check_cross_elements_imaginary(model, obs, q))
 
@@ -396,19 +442,27 @@ def _dense_cross_elements(model, observable, quantity) -> float:
         ("random", 4, 6, 3),
         ("random", 3, 5, 5),
         ("weighted", 3, 4, 2),
+        ("rotated", 2, 5, 2),
+        ("rotated", 3, 4, 3),
         ("jaynes-cummings", 2, 6, 2),
         ("jaynes-cummings", 4, 4, 2),
     ],
 )
 def test_check_cross_elements_diagonal_route_matches_dense_sandwich(kind, dim_s, dim_a, parts):
-    # Coarse number pointers are diagonal, so the check takes the
-    # level-sum route; the oracle forms every dense sandwich.
+    # Coarse number pointers are diagonal, so the check sums over their
+    # levels in the apparatus basis; a unitarily conjugated pointer is not,
+    # and is read through its rotated level table. The oracle forms every
+    # dense sandwich.
     rng = np.random.default_rng(40 + 10 * dim_s + dim_a)
     blocks = np.array_split(np.arange(dim_a), parts)
     pointer = number_pointer(dim_a, partition=[(f"x{i}", b.tolist()) for i, b in enumerate(blocks)])
     if kind == "weighted":  # not a projector; the definition still applies
         pointer = PointerObservable(pointer.outcomes, (0.5 * pointer.projectors[0], *pointer.projectors[1:]))
-    assert pointer.diagonals is not None
+    if kind == "rotated":
+        v = random_unitary(dim_a, rng)
+        pointer = PointerObservable(pointer.outcomes, tuple(v @ p @ v.conj().T for p in pointer.projectors))
+    assert (pointer.diagonals is None) == (kind == "rotated")
+    assert (pointer.levels[0] is None) == (kind != "rotated")
     if kind != "jaynes-cummings":
         q = ConservedQuantity(number_operator(dim_s), number_operator(dim_a))
         model = MeasurementModel(random_density(dim_a, rng), random_conserving_unitary(q, rng), pointer)
