@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from symcond import (
+    P_FLOOR,
     CompiledModel,
     DensityState,
     EffectSet,
@@ -26,7 +27,6 @@ from symcond import (
     load_scenario,
     weak_value,
 )
-from symcond.engine import outcome_averages
 
 
 def main() -> None:
@@ -49,18 +49,26 @@ def main() -> None:
     print(np.array_str(rho.matrix, precision=4, suppress_small=True))
 
     # The model is compiled once per observable; every state is then
-    # evaluated against the same branch operators.
-    values = CompiledModel(model, obs).evaluate(rho)
+    # evaluated against the same branch operators. The kernel gives three
+    # trace rows per outcome, tr[M(x) rho], tr[M(x) O rho] and tr[K(x) rho];
+    # conditional_values divides them by p(x), outcomes in model order.
+    compiled = CompiledModel(model, obs)
+    p, before, after = compiled.conditional_values(rho.matrix)
     print("\n== conditional values per outcome ==")
-    for label in model.outcomes:
-        rep = values[label].report()
-        print(f"outcome {label}: p = {rep.probability:.6f}  "
-              f"before = {rep.before:+.6f}  after = {rep.after:+.6f}  "
-              f"delta = {rep.delta:+.6f}")
+    for label, px, b, a in zip(model.outcomes, p, before, after):
+        if not px > P_FLOOR:  # no conditional value at p(x) = 0
+            print(f"outcome {label}: p = {px:.6f}  (zero-probability outcome)")
+            continue
+        print(f"outcome {label}: p = {px:.6f}  "
+              f"before = {b:+.6f}  after = {a:+.6f}  "
+              f"delta = {a - b:+.6f}")
 
     # Both families of conditional values average back to unconditioned
-    # expectations, just against different states.
-    avg_before, avg_after = outcome_averages(values)
+    # expectations, just against different states: sum_x p(x) <O>_before
+    # is the sum of the tr[M(x) O rho] row, sum_x p(x) <O>_after that of
+    # the tr[K(x) rho] row.
+    traces = compiled.traces(rho.matrix)
+    avg_before, avg_after = traces[1:].real.sum(axis=1)
     print("\n== averages ==")
     print(f"sum_x p(x) <O>_before = {avg_before:+.6f}"
           f"  (tr[O rho] = {np.trace(obs.matrix @ rho.matrix).real:+.6f})")

@@ -10,7 +10,6 @@ coherence-irrelevance theorems, and an excitation-exchange
 from .engine import (
     P_FLOOR,
     CompiledModel,
-    ConditionalReport,
     ZeroProbabilityOutcome,
     apply_instrument,
     dual_instrument,
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_TOL",
     "P_FLOOR",
     "CompiledModel",
-    "ConditionalReport",
     "ConservedQuantity",
     "DensityState",
     "EffectSet",

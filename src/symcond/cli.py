@@ -32,7 +32,6 @@ from .engine import (
     ZeroProbabilityOutcome,
     apply_instrument,
     induced_povm,
-    outcome_averages,
 )
 from .jaynes_cummings import jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
 from .linalg import frob, hermitian_eig, kron, unitary_from_generator
@@ -101,8 +100,9 @@ def sweep_records(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecor
 
     The G states form one (G, 2, 2) stack, pinched by one ``decohere``
     call; each stack is evaluated by one ``CompiledModel.conditional_values``
-    call, and the rows carry the arithmetic (delta = after − before),
-    zero-probability test and error text of ``BranchValues.report``.
+    call; each row's delta is after − before, and a pair of cells whose
+    p is not above P_FLOOR gives the ``ZeroProbabilityOutcome`` text of
+    the first such cell as its error line.
     """
     if scenario.conserved is None:
         raise ScenarioError("conserved", "phase sweeps need a conserved quantity for the decohered branch")
@@ -168,36 +168,52 @@ def verdict_to_dict(verdict) -> dict:
     }
 
 
+def _averages(traces: np.ndarray) -> tuple[float, float]:
+    """(Σ_x p(x)·before(x), Σ_x p(x)·after(x)) = (Σ_x Re tr[M(x)Oρ],
+    Σ_x Re tr[K(x)ρ]) from one state's (3, |X|) ``CompiledModel.traces``,
+    summed in model order; outcomes not above P_FLOOR add 0."""
+    before = after = 0.0
+    for p, weak, aft in zip(*traces.real.tolist()):
+        if p > P_FLOOR:
+            before += weak
+            after += aft
+    return before, after
+
+
 def run_report(scenario: Scenario, tol: float) -> dict:
-    """Full structured report for one scenario at its own phase."""
+    """Full structured report for one scenario at its own phase.
+
+    The outcome rows and averages come from one ``CompiledModel.traces``
+    call: p(x) is clamped to [0, 1] as born_probability clamps, before,
+    after and the weak value's imaginary part are trace rows over p(x),
+    and an outcome not above P_FLOOR is an ``error`` entry. Rows are
+    sorted by outcome label.
+    """
     model, observable = scenario.model, scenario.observable
+    labels = model.outcomes
     state = scenario.system_state()
     compiled = CompiledModel(model, observable)
-    values = compiled.evaluate(state)
+    traces = compiled.traces(state.matrix)
+    probability = [min(max(p, 0.0), 1.0) for p in traces[0].real.tolist()]
+    weak, after_numerator = traces[1].tolist(), traces[2].real.tolist()
     outcomes = []
-    for outcome in sorted(model.outcomes):
-        branch = values[outcome]
-        if not branch.probability > P_FLOOR:
-            outcomes.append(
-                {
-                    "outcome": outcome,
-                    "probability": branch.probability,
-                    "error": "zero-probability outcome",
-                }
-            )
+    for i in sorted(range(len(labels)), key=labels.__getitem__):
+        p = probability[i]
+        if not p > P_FLOOR:
+            outcomes.append({"outcome": labels[i], "probability": p, "error": "zero-probability outcome"})
             continue
-        rep = branch.report()
+        before, after = weak[i].real / p, after_numerator[i] / p
         outcomes.append(
             {
-                "outcome": outcome,
-                "probability": rep.probability,
-                "before": rep.before,
-                "after": rep.after,
-                "delta": rep.delta,
-                "weak_value_imag": (branch.weak_numerator / rep.probability).imag,
+                "outcome": labels[i],
+                "probability": p,
+                "before": before,
+                "after": after,
+                "delta": after - before,
+                "weak_value_imag": (weak[i] / p).imag,
             }
         )
-    before, after = outcome_averages(values)
+    before, after = _averages(traces)
     report = {
         "scenario": scenario.source,
         "tolerance": tol,
@@ -376,7 +392,7 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
             np.trace(kron(observable.matrix, np.eye(model.dim_a)) @ evolved).real
         )
         target_before = float(np.trace(observable.matrix @ state.matrix).real)
-        avg_before, avg_after = outcome_averages(CompiledModel(model, observable).evaluate(state))
+        avg_before, avg_after = _averages(CompiledModel(model, observable).traces(state.matrix))
         residuals += [abs(avg_before - target_before), abs(avg_after - target_after)]
     checks.append(("average_identities", _largest(residuals), 1e-9))
 
@@ -499,11 +515,6 @@ _FLAGS = {
         default=None,
         help="comparison tolerance (default: the scenario's, 1e-9 if it declares none)",
     ),
-    "--format": dict(
-        choices=("csv", "json"),
-        default=None,
-        help="output format (default: json for run/theorems, csv for sweep/fig1)",
-    ),
     "--quiet": dict(action="store_true", help="suppress informational output"),
 }
 
@@ -512,6 +523,12 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
     """Register the named shared flags; each subcommand takes only those it reads."""
     for flag in flags:
         parser.add_argument(flag, **_FLAGS[flag])
+
+
+def _add_format(parser: argparse.ArgumentParser, choices: tuple[str, ...], default: str) -> None:
+    """Register --format with only the values this subcommand reads; without
+    the flag it writes ``default``."""
+    parser.add_argument("--format", choices=choices, default=None, help=f"output format (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate one scenario and emit a structured report")
     p.add_argument("scenario", help="path to a .scenario file")
-    _add_flags(p, "--tol", "--format")
+    _add_flags(p, "--tol")
+    _add_format(p, ("csv", "json"), "json")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="sweep the system-state phase over a grid")
@@ -532,12 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, default=None, help="grid start (radians)")
     p.add_argument("--to", dest="stop", type=float, default=None, help="grid end (radians)")
     p.add_argument("--steps", type=int, default=None, help="number of grid points")
-    _add_flags(p, "--format")
+    _add_format(p, ("csv", "json"), "csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fig1", help="write the sweep of the bundled qubit-qubit scenario")
     p.add_argument("--out", required=True, help="output file path")
-    _add_flags(p, "--format", "--quiet")
+    _add_format(p, ("csv", "json"), "csv")
+    _add_flags(p, "--quiet")
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("theorems", help="verify the coherence-irrelevance theorems on a scenario")
@@ -548,7 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit 5 unless this theorem's hypotheses and equalities all hold",
     )
-    _add_flags(p, "--tol", "--format", "--quiet")
+    _add_flags(p, "--tol")
+    _add_format(p, ("json",), "text")
+    _add_flags(p, "--quiet")
     p.set_defaults(func=cmd_theorems)
 
     p = sub.add_parser("selftest", help="run seeded randomized property checks")

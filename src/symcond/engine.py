@@ -18,14 +18,16 @@ and the expectation in the normalized post-measurement state is
 
 M(x) and K(x) depend on the model and the observable, never on the
 state, so :class:`CompiledModel` builds them once and evaluates any
-number of states against them. It is the one evaluation route:
-``CompiledModel(model, observable).evaluate(state)[x].report()`` gives
-p(x), before(x), after(x) and their change, and :func:`outcome_averages`
-folds an evaluation into the two outcome averages. A (G, d_s, d_s) stack
-of states is evaluated in one call by :meth:`CompiledModel.conditional_values`,
-which gives the same p, before and after as arrays: sweeps take
-after − before from it, and the theorem verifiers read both theorems'
-equalities from one 2×2 grid of its results (original or decohered
+number of states against them. It is the one evaluation route, and it
+answers in one shape: :meth:`CompiledModel.traces`, the kernel, gives
+the (3, |X|) rows tr[M(x)ρ], tr[M(x)Oρ] and tr[K(x)ρ] for one state or a
+(G, 3, |X|) block for a (G, d_s, d_s) stack, and
+:meth:`CompiledModel.conditional_values` turns them into the arrays p,
+before and after (their change is after − before). Outcome averages are
+sums of the trace rows, Σ_x p(x)·before(x) = Σ_x Re tr[M(x)Oρ] and
+Σ_x p(x)·after(x) = Σ_x Re tr[K(x)ρ]. Sweeps, reports, selftest and the
+theorem verifiers all read these arrays; the verifiers read both
+theorems' equalities from one 2×2 grid of them (original or decohered
 apparatus × ρ or Φ_{L_S}(ρ)).
 
 The compile never forms U†(O ⊗ P^x)U. The partial trace over A is cyclic
@@ -56,22 +58,15 @@ independent checks of this route; no production path calls either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import dagger, ensure_hermitian, kron, partial_trace
-from .objects import (
-    DensityState,
-    EffectSet,
-    MeasurementModel,
-    ObservableOp,
-    born_probability,
-)
+from .objects import DensityState, EffectSet, MeasurementModel, ObservableOp, born_probability
 
-# Conditional values are undefined at p(x) = 0; probabilities not above
-# this floor (NaN included) raise ZeroProbabilityOutcome instead of
-# returning junk.
+# Conditional values are undefined at p(x) = 0. A probability not above
+# this floor (NaN included) marks a zero-probability outcome: the array
+# routes leave the test to their callers, and the per-outcome formulas
+# raise ZeroProbabilityOutcome instead of returning junk.
 P_FLOOR = 1e-12
 
 
@@ -82,17 +77,6 @@ class ZeroProbabilityOutcome(ValueError):
         super().__init__(
             f"outcome {outcome!r} has probability {probability:.3e}, not above {P_FLOOR:.0e}"
         )
-
-
-@dataclass(frozen=True)
-class ConditionalReport:
-    """Before/after conditional values for one outcome."""
-
-    outcome: str
-    probability: float
-    before: float
-    after: float
-    delta: float
 
 
 def apply_instrument(
@@ -169,42 +153,11 @@ def induced_povm(model: MeasurementModel) -> EffectSet:
     return EffectSet(model.outcomes, tuple(ensure_hermitian(e) for e in m))
 
 
-def _checked_probability(p: float, outcome: str) -> float:
-    if not p > P_FLOOR:
-        raise ZeroProbabilityOutcome(outcome, p)
-    return p
-
-
 def _clamped(p: np.ndarray) -> np.ndarray:
     """``min(max(p, 0.0), 1.0)`` entry by entry, as born_probability clamps
     (NaN and −0.0 come through as they do there)."""
     p = np.where(0.0 > p, 0.0, p)
     return np.where(1.0 < p, 1.0, p)
-
-
-def _conditional(p, weak_numerator_real, after_numerator):
-    """(before, after) from p(x) and the two numerators; floats or arrays
-    alike, so :meth:`CompiledModel.conditional_values` and
-    :meth:`BranchValues.report` share one arithmetic."""
-    return weak_numerator_real / p, after_numerator / p
-
-
-@dataclass(frozen=True)
-class BranchValues:
-    """The state-dependent traces of one outcome, from :meth:`CompiledModel.evaluate`."""
-
-    outcome: str
-    probability: float  # p(x) = tr[M(x)ρ], clamped to [0, 1] as born_probability does
-    weak_numerator: complex  # tr[M(x)Oρ]
-    after_numerator: float  # Re tr[K(x)ρ]
-
-    def report(self) -> ConditionalReport:
-        """Before/after/delta; raises ZeroProbabilityOutcome at p not above P_FLOOR."""
-        p = _checked_probability(self.probability, self.outcome)
-        before, after = _conditional(p, self.weak_numerator.real, self.after_numerator)
-        return ConditionalReport(
-            outcome=self.outcome, probability=p, before=before, after=after, delta=after - before
-        )
 
 
 class CompiledModel:
@@ -215,9 +168,10 @@ class CompiledModel:
     one :func:`branch_operators` call (about 4n²·d_s + n²·d_a work,
     whatever the number of outcomes); a pointer without a level table
     (projectors that share no eigenbasis) raises ValueError.
-    :meth:`evaluate` then costs one stacked d_s×d_s product per state,
-    whatever the apparatus dimension; :meth:`traces`, the kernel under it,
-    takes a (G, d_s, d_s) stack of states as readily as one state.
+    :meth:`traces`, the kernel, then costs one stacked d_s×d_s product
+    per state, whatever the apparatus dimension, and takes a
+    (G, d_s, d_s) stack of states as readily as one state;
+    :meth:`conditional_values` reads p, before and after from it.
     """
 
     def __init__(self, model: MeasurementModel, observable: ObservableOp):
@@ -237,41 +191,18 @@ class CompiledModel:
         traces = np.trace(self._operators @ states[..., None, :, :], axis1=-2, axis2=-1)
         return traces.reshape(*states.shape[:-2], 3, len(self.outcomes))
 
-    def evaluate(self, state: DensityState) -> dict[str, BranchValues]:
-        """p(x), tr[M(x)Oρ] and Re tr[K(x)ρ] for every outcome, keyed by label
-        in outcome order: the (3, |X|) :meth:`traces` of one d_s×d_s state,
-        p clamped to [0, 1]. For a (G, d_s, d_s) stack use :meth:`traces`
-        or :meth:`conditional_values`, which give the same numbers."""
-        traces = self.traces(state.matrix)
-        probability = _clamped(traces[0].real).tolist()
-        weak, after = traces[1].tolist(), traces[2].real.tolist()
-        return {
-            x: BranchValues(x, probability[i], weak_numerator=weak[i], after_numerator=after[i])
-            for i, x in enumerate(self.outcomes)
-        }
-
     def conditional_values(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """p(x), before(x) and after(x) for one d_s×d_s state or a
-        (G, d_s, d_s) stack, each of shape (|X|,) or (G, |X|), by the
-        arithmetic of :meth:`BranchValues.report` (its delta is
-        after − before). Where p is not above P_FLOOR the values are
-        meaningless (and raise no warning); callers test p."""
+        (G, d_s, d_s) stack, each of shape (|X|,) or (G, |X|), from the
+        :meth:`traces` rows: p = tr[M(x)ρ] clamped to [0, 1] as
+        born_probability clamps, before = Re tr[M(x)Oρ]/p and
+        after = Re tr[K(x)ρ]/p; the change is after − before. Where p is
+        not above P_FLOOR the values are meaningless (and raise no
+        warning); callers test p."""
         traces = self.traces(states)
         p = _clamped(traces[..., 0, :].real)
         with np.errstate(divide="ignore", invalid="ignore"):
-            before, after = _conditional(p, traces[..., 1, :].real, traces[..., 2, :].real)
-        return p, before, after
-
-
-def outcome_averages(values: dict[str, BranchValues]) -> tuple[float, float]:
-    """(Σ_x p(x)·before(x), Σ_x p(x)·after(x)) = (Σ_x Re tr[M(x)Oρ],
-    Σ_x Re tr[K(x)ρ]); outcomes not above P_FLOOR add 0."""
-    before = after = 0.0
-    for v in values.values():
-        if v.probability > P_FLOOR:
-            before += v.weak_numerator.real
-            after += v.after_numerator
-    return before, after
+            return p, traces[..., 1, :].real / p, traces[..., 2, :].real / p
 
 
 def weak_value(
@@ -279,13 +210,14 @@ def weak_value(
 ) -> complex:
     """Complex weak value tr[M(x)Oρ]/p(x) for the given effect M(x) of a POVM.
 
-    For a measurement model use :class:`CompiledModel`: its
-    ``BranchValues.weak_numerator / probability`` is the same number with
-    M(x) the induced effect, and its real part is ``before``. The
-    imaginary part is a diagnostic only and never enters a conditional
+    For a measurement model use :class:`CompiledModel`: the ratio of its
+    :meth:`~CompiledModel.traces` rows tr[M(x)Oρ] / tr[M(x)ρ] is the same
+    number with M(x) the induced effect, and its real part is ``before``.
+    The imaginary part is a diagnostic only and never enters a conditional
     change. Raises ZeroProbabilityOutcome at p(x) not above P_FLOOR.
     """
     m = effects.effect(outcome)
     p = born_probability(state, m)
-    numerator = complex(np.trace(m @ observable.matrix @ state.matrix))
-    return numerator / _checked_probability(p, outcome)
+    if not p > P_FLOOR:
+        raise ZeroProbabilityOutcome(outcome, p)
+    return complex(np.trace(m @ observable.matrix @ state.matrix)) / p

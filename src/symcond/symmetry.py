@@ -456,15 +456,15 @@ def blockwise_conditional_values(
     Heisenberg operators of all outcomes, each outcome's sum in the same
     order as alone. The derivation needs the conservation law, pointer
     compatibility, and [O, L_S] = 0; their residuals are measured first
-    and any at or above ``tol`` raises ValueError. p(x) is computed
-    directly here, not through the engine; the first outcome whose p(x)
-    is not above P_FLOOR raises ZeroProbabilityOutcome.
+    and any not below ``tol`` (NaN included) raises ValueError. p(x) is
+    computed directly here, not through the engine; the first outcome
+    whose p(x) is not above P_FLOOR raises ZeroProbabilityOutcome.
     """
     for name, residual in _shared_hypotheses(model, observable, quantity).items():
-        if residual >= tol:
+        if not residual < tol:
             raise ValueError(
                 f"blockwise path precondition {name!r} violated: "
-                f"residual {residual:.3e} >= {tol:.3e}"
+                f"residual {residual:.3e} not below {tol:.3e}"
             )
 
     dec_s = hermitian_eig(quantity.system_part.matrix)

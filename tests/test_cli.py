@@ -299,6 +299,31 @@ def test_flags_are_only_accepted_where_they_are_read(tmp_path, capsys):
     assert not (tmp_path / "unused.csv").exists()
 
 
+def test_format_takes_only_the_values_each_subcommand_writes(tmp_path, capsys):
+    # theorems writes json or its text report, so csv is a usage error, and
+    # each subcommand's help names the format it writes without the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["theorems", FIG1, "--format", "csv"])
+    assert exc.value.code == EXIT_PARSE
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+    assert main(["theorems", FIG1, "--format", "json"]) == EXIT_OK
+    assert list(json.loads(capsys.readouterr().out)) == ["theorem1", "theorem2"]
+    out = str(tmp_path / "curve")
+    for argv, default, head in (
+        (["run", FIG1], "json", "{"),
+        (["sweep", FIG1, "--steps", "2"], "csv", "# conditional-change sweep"),
+        (["fig1", "--out", out, "--quiet"], "csv", "# conditional-change sweep"),
+        (["theorems", FIG1], "text", "theorem1 hypothesis conservation: "),
+    ):
+        assert main(argv) == EXIT_OK
+        written = (tmp_path / "curve").read_text() if argv[0] == "fig1" else capsys.readouterr().out
+        assert written.startswith(head), argv
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == EXIT_OK
+        assert f"output format (default: {default})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_non_finite_scenario_number_is_parse_error(tmp_path, capsys):
     doc = fig1_doc()
     doc["system_state"]["coherent"]["polar"] = float("nan")
@@ -407,25 +432,29 @@ def test_sweep_size_is_bounded_before_building(source, tmp_path, capsys):
 
 
 def per_point_sweep(scenario, grid):
-    """The sweep evaluated one grid point and one outcome at a time, through
-    evaluate() and report(): the reference for the stacked sweep."""
-    from symcond import CompiledModel, DensityState, ZeroProbabilityOutcome, decohere
+    """The sweep evaluated one grid point at a time, one conditional_values()
+    call per state, and one outcome at a time: the reference for the
+    stacked sweep."""
+    from symcond import P_FLOOR, CompiledModel, ZeroProbabilityOutcome, decohere
 
     compiled = CompiledModel(scenario.model, scenario.observable)
+    labels = scenario.model.outcomes
     records, errors = [], []
     for phi in grid:
-        state = scenario.system_state(float(phi))
-        values = compiled.evaluate(state)
-        values_dec = compiled.evaluate(DensityState(decohere(state.matrix, scenario.conserved.system_part)))
-        for outcome in sorted(scenario.model.outcomes):
-            try:
-                rep, rep_dec = values[outcome].report(), values_dec[outcome].report()
-            except ZeroProbabilityOutcome as exc:
-                errors.append(f"phi={format(float(phi), '.17g')} outcome={outcome}: {exc}")
+        state = scenario.system_state(float(phi)).matrix
+        cells = [
+            [a.tolist() for a in compiled.conditional_values(s)]
+            for s in (state, decohere(state, scenario.conserved.system_part))
+        ]
+        for outcome in sorted(labels):
+            i = labels.index(outcome)
+            (p, before, after), (p_dec, before_dec, after_dec) = ([a[i] for a in cell] for cell in cells)
+            low = [q for q in (p, p_dec) if not q > P_FLOOR]
+            if low:
+                errors.append(f"phi={format(float(phi), '.17g')} outcome={outcome}: {ZeroProbabilityOutcome(outcome, low[0])}")
                 continue
-            records.append(
-                SweepRecord(float(phi), outcome, rep.probability, rep.delta, rep_dec.delta, rep.delta - rep_dec.delta)
-            )
+            delta, delta_dec = after - before, after_dec - before_dec
+            records.append(SweepRecord(float(phi), outcome, p, delta, delta_dec, delta - delta_dec))
     return records, errors
 
 

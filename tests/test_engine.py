@@ -9,8 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from symcond import (
+    P_FLOOR,
     CompiledModel,
     DensityState,
+    EffectSet,
     MeasurementModel,
     ObservableOp,
     PointerObservable,
@@ -22,7 +24,6 @@ from symcond import (
     load_scenario,
     weak_value,
 )
-from symcond.engine import outcome_averages
 from symcond.sampling import random_density, random_model, random_observable, random_unitary
 
 
@@ -40,8 +41,8 @@ def identity_model(xi: np.ndarray) -> MeasurementModel:
 
 def probabilities(model: MeasurementModel, rho: DensityState) -> dict[str, float]:
     """p(x) for every outcome, from the compiled model of the identity observable."""
-    values = CompiledModel(model, ObservableOp(np.eye(model.dim_s))).evaluate(rho)
-    return {x: branch.probability for x, branch in values.items()}
+    p, _, _ = CompiledModel(model, ObservableOp(np.eye(model.dim_s))).conditional_values(rho.matrix)
+    return dict(zip(model.outcomes, p.tolist()))
 
 
 def test_apply_instrument_identity_unitary():
@@ -135,9 +136,8 @@ def test_conditional_after_identity_unitary():
     rho = DensityState(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     obs = ObservableOp(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
     expected = np.trace(obs.matrix @ rho.matrix).real
-    values = CompiledModel(model, obs).evaluate(rho)
-    for label in ("-", "+"):
-        assert values[label].report().after == pytest.approx(expected, abs=1e-12)
+    _, _, after = CompiledModel(model, obs).conditional_values(rho.matrix)
+    assert after.tolist() == pytest.approx([expected, expected], abs=1e-12)
 
 
 def test_conditional_values_for_identity_observable():
@@ -145,20 +145,19 @@ def test_conditional_values_for_identity_observable():
     model = random_model(2, 2, rng)
     rho = random_density(2, rng)
     one = ObservableOp(np.eye(2, dtype=complex))
-    values = CompiledModel(model, one).evaluate(rho)
-    for label in model.outcomes:
-        if values[label].probability < 1e-6:
-            continue
-        rep = values[label].report()
-        assert rep.after == pytest.approx(1.0, abs=1e-10)
-        assert rep.before == pytest.approx(1.0, abs=1e-10)
+    p, before, after = CompiledModel(model, one).conditional_values(rho.matrix)
+    kept = p >= 1e-6
+    assert kept.any()
+    assert after[kept] == pytest.approx(1.0, abs=1e-10)
+    assert before[kept] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_conditional_after_eigenstate():
     model = identity_model(np.diag([0.3, 0.7]).astype(complex))
     rho = DensityState(np.diag([0.0, 1.0]).astype(complex))
     obs = ObservableOp(np.diag([3.0, 7.0]))
-    assert CompiledModel(model, obs).evaluate(rho)["+"].report().after == pytest.approx(7.0)
+    _, _, after = CompiledModel(model, obs).conditional_values(rho.matrix)
+    assert after[model.outcomes.index("+")] == pytest.approx(7.0)
 
 
 def test_conditional_before_eigenstate_gives_eigenvalue():
@@ -168,11 +167,9 @@ def test_conditional_before_eigenstate_gives_eigenvalue():
     model = random_model(2, 3, rng)
     rho = DensityState(np.diag([1.0, 0.0]).astype(complex))
     obs = ObservableOp(np.diag([2.5, -4.0]))
-    values = CompiledModel(model, obs).evaluate(rho)
-    for label in model.outcomes:
-        if values[label].probability < 1e-6:
-            continue
-        assert values[label].report().before == pytest.approx(2.5, abs=1e-10)
+    p, before, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
+    assert (p >= 1e-6).any()
+    assert before[p >= 1e-6] == pytest.approx(2.5, abs=1e-10)
 
 
 def test_conditional_before_matches_rank_one_weak_value():
@@ -184,8 +181,6 @@ def test_conditional_before_matches_rank_one_weak_value():
     phi /= np.linalg.norm(phi)
     obs = random_observable(2, rng)
     proj = np.outer(phi, phi.conj())
-    from symcond import EffectSet
-
     effects = EffectSet(("hit", "miss"), (proj, np.eye(2) - proj))
     rho = DensityState(np.outer(psi, psi.conj()))
     got = weak_value(effects, rho, obs, "hit").real
@@ -207,12 +202,12 @@ def test_conditional_before_routes_agree():
         rho = random_density(2, rng)
         obs = random_observable(2, rng)
         effects = induced_povm(model)
-        values = CompiledModel(model, obs).evaluate(rho)
-        for label in model.outcomes:
-            if values[label].probability < 1e-6:
+        p, before, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
+        for i, label in enumerate(model.outcomes):
+            if p[i] < 1e-6:
                 continue
             want = instrument_weak_value(model, rho, obs, label).real
-            assert abs(values[label].report().before - want) < 1e-10
+            assert abs(before[i] - want) < 1e-10
             assert abs(weak_value(effects, rho, obs, label).real - want) < 1e-10
 
 
@@ -222,14 +217,15 @@ def test_weak_value_routes_agree_including_imag():
     rho = random_density(2, rng)
     obs = random_observable(2, rng)
     effects = induced_povm(model)
-    values = CompiledModel(model, obs).evaluate(rho)
-    for label in model.outcomes:
+    compiled = CompiledModel(model, obs)
+    traces = compiled.traces(rho.matrix)
+    p, before, _ = compiled.conditional_values(rho.matrix)
+    for i, label in enumerate(model.outcomes):
         want = instrument_weak_value(model, rho, obs, label)
-        rep = values[label].report()
-        wv_model = values[label].weak_numerator / rep.probability
+        wv_model = traces[1, i] / p[i]
         assert abs(wv_model - want) < 1e-10
         assert abs(weak_value(effects, rho, obs, label) - want) < 1e-10
-        assert wv_model.real == pytest.approx(rep.before, abs=1e-12)
+        assert wv_model.real == pytest.approx(before[i], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim_s", [2, 3, 4])
@@ -243,19 +239,18 @@ def test_compiled_model_matches_instrument_oracle(dim_s, dim_a):
     compiled = CompiledModel(model, obs)
     for _ in range(4):
         rho = random_density(dim_s, rng)
-        values = compiled.evaluate(rho)
-        assert tuple(values) == model.outcomes
-        for label, branch in values.items():
+        traces = compiled.traces(rho.matrix)
+        probability, before, after = compiled.conditional_values(rho.matrix)
+        assert traces.shape == (3, len(model.outcomes))
+        for i, label in enumerate(model.outcomes):
             out = apply_instrument(model, rho.matrix, label)
             p = np.trace(out).real
-            assert abs(branch.probability - p) < 1e-12
+            assert abs(probability[i] - p) < 1e-12
             assert p > 1e-6  # keeps the ratios below well conditioned
             want_wv = instrument_weak_value(model, rho, obs, label)
-            rep = branch.report()
-            assert abs(branch.weak_numerator / rep.probability - want_wv) < 1e-12
-            assert abs(rep.before - want_wv.real) < 1e-12
-            assert abs(rep.after - np.trace(obs.matrix @ out).real / p) < 1e-12
-            assert rep.delta == rep.after - rep.before
+            assert abs(traces[1, i] / probability[i] - want_wv) < 1e-12
+            assert abs(before[i] - want_wv.real) < 1e-12
+            assert abs(after[i] - np.trace(obs.matrix @ out).real / p) < 1e-12
 
 
 @pytest.mark.parametrize("dim_s", [1, 2, 3, 4, 8])
@@ -322,11 +317,9 @@ def test_conditional_change_identity_unitary_is_zero():
     model = identity_model(np.diag([0.3, 0.7]).astype(complex))
     rho = DensityState(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
     obs = ObservableOp(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
-    values = CompiledModel(model, obs).evaluate(rho)
-    for label in ("-", "+"):
-        rep = values[label].report()
-        assert rep.delta == pytest.approx(0.0, abs=1e-12)
-        assert rep.after == pytest.approx(rep.before, abs=1e-12)
+    p, before, after = CompiledModel(model, obs).conditional_values(rho.matrix)
+    assert (p > P_FLOOR).all()
+    assert (after - before).tolist() == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_conditional_change_fig1_frozen_values():
@@ -334,25 +327,24 @@ def test_conditional_change_fig1_frozen_values():
     # phase zero, where the interference terms vanish.
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)
-    values = CompiledModel(setup.model, setup.observable).evaluate(rho)
-    rep = values["+"].report()
-    assert rep.probability == pytest.approx(0.82766504294495524, abs=1e-12)
-    assert rep.before == pytest.approx(0.9336477008475339, abs=1e-12)
-    assert rep.after == pytest.approx(0.54691816067802734, abs=1e-12)
-    assert rep.delta == pytest.approx(-0.38672954016950656, abs=1e-12)
-    rep_minus = values["-"].report()
-    assert rep_minus.probability == pytest.approx(0.1723349570550447, abs=1e-12)
-    assert rep_minus.before == pytest.approx(-0.38089070466370573, abs=1e-12)
-    assert rep_minus.after == pytest.approx(0.57511055241116749, abs=1e-12)
+    p, before, after = CompiledModel(setup.model, setup.observable).conditional_values(rho.matrix)
+    plus, minus = setup.model.outcomes.index("+"), setup.model.outcomes.index("-")
+    assert p[plus] == pytest.approx(0.82766504294495524, abs=1e-12)
+    assert before[plus] == pytest.approx(0.9336477008475339, abs=1e-12)
+    assert after[plus] == pytest.approx(0.54691816067802734, abs=1e-12)
+    assert after[plus] - before[plus] == pytest.approx(-0.38672954016950656, abs=1e-12)
+    assert p[minus] == pytest.approx(0.1723349570550447, abs=1e-12)
+    assert before[minus] == pytest.approx(-0.38089070466370573, abs=1e-12)
+    assert after[minus] == pytest.approx(0.57511055241116749, abs=1e-12)
 
 
 def test_zero_probability_outcome_raises():
     model = identity_model(np.diag([0.0, 1.0]).astype(complex))
     rho = DensityState(np.diag([0.5, 0.5]).astype(complex))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
-    with pytest.raises(ZeroProbabilityOutcome):
-        CompiledModel(model, obs).evaluate(rho)["-"].report()
-    with pytest.raises(ZeroProbabilityOutcome):
+    p, _, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
+    assert p.tolist() == [0.0, 1.0]  # "-" is flagged by its p, for the caller to test
+    with pytest.raises(ZeroProbabilityOutcome, match="'-' has probability 0.000e\\+00"):
         weak_value(induced_povm(model), rho, obs, "-")
 
 
@@ -362,10 +354,13 @@ def test_nan_apparatus_state_raises_instead_of_nan_report():
     model = identity_model(xi)
     rho = DensityState(np.diag([0.5, 0.5]).astype(complex))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
-    values = CompiledModel(model, obs).evaluate(rho)
+    p, _, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
+    assert np.isnan(p).all()  # not above P_FLOOR, so every caller skips or reports it
+    # induced_povm rejects NaN effects; the sandwich route hands them on.
+    effects = EffectSet(model.outcomes, tuple(dual_instrument(model, np.eye(2), x) for x in model.outcomes))
     for label in ("-", "+"):
-        with pytest.raises(ZeroProbabilityOutcome):
-            values[label].report()
+        with pytest.raises(ZeroProbabilityOutcome, match="nan"):
+            weak_value(effects, rho, obs, label)
 
 
 def test_average_before_recovers_unconditioned_mean():
@@ -375,8 +370,9 @@ def test_average_before_recovers_unconditioned_mean():
         rho = random_density(2, rng)
         obs = random_observable(2, rng)
         want = np.trace(obs.matrix @ rho.matrix).real
-        before, _ = outcome_averages(CompiledModel(model, obs).evaluate(rho))
-        assert before == pytest.approx(want, abs=1e-10)
+        p, before, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
+        assert (p > P_FLOOR).all()
+        assert np.sum(p * before) == pytest.approx(want, abs=1e-10)
 
 
 def test_average_after_matches_heisenberg_mean():
@@ -390,13 +386,15 @@ def test_average_after_matches_heisenberg_mean():
         joint = kron(rho.matrix, model.apparatus_state.matrix)
         evolved = model.unitary @ joint @ dagger(model.unitary)
         want = np.trace(kron(obs.matrix, np.eye(model.dim_a)) @ evolved).real
-        _, after = outcome_averages(CompiledModel(model, obs).evaluate(rho))
-        assert after == pytest.approx(want, abs=1e-10)
+        p, _, after = CompiledModel(model, obs).conditional_values(rho.matrix)
+        assert (p > P_FLOOR).all()
+        assert np.sum(p * after) == pytest.approx(want, abs=1e-10)
 
 
 def test_stacked_evaluation_equals_each_state():
     # One call on a (G, d_s, d_s) stack gives, state by state, the very
-    # traces of evaluate() and the p, before and after of report().
+    # traces and the p, before and after of one call on that state alone,
+    # and those are the trace rows over the clamped p.
     rng = np.random.default_rng(1230)
     model = random_model(3, 4, rng)
     compiled = CompiledModel(model, random_observable(3, rng))
@@ -410,10 +408,9 @@ def test_stacked_evaluation_equals_each_state():
         assert np.array_equal(traces[g], compiled.traces(state.matrix))
         single = compiled.conditional_values(state.matrix)
         assert all(np.array_equal(a[g], b) for a, b in zip((p, before, after), single))
-        for i, (label, branch) in enumerate(compiled.evaluate(state).items()):
-            rep = branch.report()
-            assert (p[g, i], before[g, i], after[g, i]) == (rep.probability, rep.before, rep.after)
-            assert after[g, i] - before[g, i] == rep.delta
+        for i, (tr_p, tr_weak, tr_after) in enumerate(traces[g].T.tolist()):
+            want_p = min(max(tr_p.real, 0.0), 1.0)
+            assert (p[g, i], before[g, i], after[g, i]) == (want_p, tr_weak.real / want_p, tr_after.real / want_p)
 
 
 def test_stacked_values_flag_zero_probability_rows():
@@ -423,8 +420,9 @@ def test_stacked_values_flag_zero_probability_rows():
     p, before, after = compiled.conditional_values(stack)
     # Outcome "+" reads apparatus level 1, which ϱ never populates.
     assert p[:, 1].tolist() == [0.0, 0.0]
+    assert not (p[:, 1] > P_FLOOR).any()
     for g in range(2):
-        rep = compiled.evaluate(DensityState(stack[g]))["-"].report()
-        assert (p[g, 0], before[g, 0], after[g, 0]) == (rep.probability, rep.before, rep.after)
-    with pytest.raises(ZeroProbabilityOutcome, match="'\\+' has probability 0.000e\\+00"):
-        compiled.evaluate(DensityState(stack[0]))["+"].report()
+        single = compiled.conditional_values(stack[g])
+        assert (p[g, 0], before[g, 0], after[g, 0]) == tuple(a[0] for a in single)
+    assert before[:, 0].tolist() == [0.0, 1.0]
+    assert after[:, 0].tolist() == [0.0, 1.0]

@@ -11,7 +11,6 @@ EXPORTS = [
     "DEFAULT_TOL",
     "P_FLOOR",
     "CompiledModel",
-    "ConditionalReport",
     "ConservedQuantity",
     "DensityState",
     "EffectSet",
@@ -65,5 +64,5 @@ EXPORTS = [
 
 def test_exports_are_pinned():
     assert symcond.__all__ == EXPORTS
-    assert len(EXPORTS) == 52
+    assert len(EXPORTS) == 51
     assert all(hasattr(symcond, name) for name in EXPORTS)

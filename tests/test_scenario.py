@@ -185,10 +185,10 @@ def test_explicit_model_roundtrip():
     assert sc.conserved is None
     with pytest.raises(ScenarioError):
         sc.system_state(0.3)
-    branch = CompiledModel(sc.model, sc.observable).evaluate(sc.system_state())["+"]
-    assert branch.probability == pytest.approx(0.7)
-    rep = branch.report()
-    assert rep.delta == pytest.approx(0.0, abs=1e-12)
+    p, before, after = CompiledModel(sc.model, sc.observable).conditional_values(sc.system_state().matrix)
+    plus = sc.model.outcomes.index("+")
+    assert p[plus] == pytest.approx(0.7)
+    assert after[plus] - before[plus] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_explicit_model_non_unitary_is_invariant_violation():

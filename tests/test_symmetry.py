@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from symcond import (
+    P_FLOOR,
     CompiledModel,
     ConservedQuantity,
     DensityState,
@@ -542,6 +545,56 @@ def test_verify_theorem2_asymmetric_phase_breaks_chain():
     assert v.claimed_equalities_hold  # nothing is claimed when a hypothesis fails
 
 
+@st.composite
+def conserving_instances(draw):
+    """(model, ρ, O, q) with n = d_s·d_a ≤ 16 and theorem 1's model
+    hypotheses true by construction: a U that conserves L_S ⊗ 1 + 1 ⊗ L_A
+    (Jaynes-Cummings, or ``random_conserving_unitary`` over an L_A with a
+    degenerate eigenvalue), a number pointer whose outcomes are unions of
+    L_A's eigenspaces, and a diagonal O. ρ is diagonal (every hypothesis
+    holds) or a full density matrix (the state hypothesis breaks)."""
+    dim_s = draw(st.sampled_from([2, 3, 4]))
+    dim_a = draw(st.integers(2, 16 // dim_s))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = np.arange(dim_a)  # N_A: one eigenspace per level
+        theta = draw(st.floats(-2 * np.pi, 2 * np.pi))
+        jc, q = build_jc_model(JCModelSpec(dim_s, dim_a, theta), DensityState(np.eye(dim_a) / dim_a))
+        unitary = jc.unitary
+    else:
+        # dim_a eigenvalues from dim_a − 1 values: at least one repeats.
+        levels = np.sort(draw(st.lists(st.integers(0, dim_a - 2), min_size=dim_a, max_size=dim_a)))
+        q = ConservedQuantity(number_operator(dim_s), ObservableOp(np.diag(levels.astype(float))))
+        unitary = random_conserving_unitary(q, rng)
+    sectors = np.unique(levels)
+    outcome_of = np.array(draw(st.lists(st.integers(0, 2), min_size=len(sectors), max_size=len(sectors))))
+    partition = [
+        (f"x{k}", np.flatnonzero(np.isin(levels, sectors[outcome_of == k])).tolist()) for k in np.unique(outcome_of)
+    ]
+    model = MeasurementModel(random_density(dim_a, rng), unitary, number_pointer(dim_a, partition))
+    rho = random_diagonal_density(dim_s, rng) if draw(st.booleans()) else random_density(dim_s, rng)
+    return model, rho, random_diagonal_observable(dim_s, rng), q
+
+
+def test_theorem1_is_sound_on_drawn_conserving_instances():
+    # No drawn instance may have an equality claimed (its hypotheses held)
+    # and broken; enough instances reach each claim that this is not vacuous.
+    reached = {"system_commutes_before": 0, "ancilla_commutes_before": 0}
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(conserving_instances())
+    def check(instance):
+        v = verify_theorem1(*instance)
+        broken = [n for n in v.equalities if v.equality_claimed(n) and not v.equalities_held[n]]
+        assert not broken, (broken, v.hypotheses, v.equalities)
+        for name in reached:
+            reached[name] += v.equality_claimed(name)
+
+    check()
+    assert reached["system_commutes_before"] >= 20, reached
+    assert reached["ancilla_commutes_before"] >= 50, reached
+
+
 def test_verify_theorems_equals_the_single_verifiers():
     # Sharing the hypotheses, compiles and decohered state must not move a
     # bit: each verdict equals the one its own verifier returns.
@@ -562,16 +615,15 @@ def test_verify_theorems_equals_the_single_verifiers():
 
 def per_cell_spreads(cells):
     """Spreads of before and after over (compiled, state) cells, one
-    report() per cell and outcome: the reference for the stacked grid.
-    An outcome whose report raises in any cell is skipped."""
-    evaluations = [compiled.evaluate(state) for compiled, state in cells]
+    conditional_values() call per cell on its state alone: the reference
+    for the stacked grid. An outcome not above P_FLOOR in any cell is
+    skipped."""
+    evaluations = [[a.tolist() for a in compiled.conditional_values(state.matrix)] for compiled, state in cells]
     before, after = [], []
-    for outcome in evaluations[0]:
-        try:
-            reports = [values[outcome].report() for values in evaluations]
-        except ZeroProbabilityOutcome:
+    for i in range(len(evaluations[0][0])):
+        if not all(p[i] > P_FLOOR for p, _, _ in evaluations):
             continue
-        for deviations, xs in ((before, [r.before for r in reports]), (after, [r.after for r in reports])):
+        for deviations, xs in ((before, [v[1][i] for v in evaluations]), (after, [v[2][i] for v in evaluations])):
             deviations.extend(x - min(xs) for x in xs)
     return tuple(np.nan if np.isnan(d).any() else max(d, default=0.0) for d in (before, after))
 
@@ -632,8 +684,8 @@ def test_equalities_equal_per_cell_reports_bit_for_bit(kind, model, rho, obs, q)
     for name in want:
         assert np.float64(got[name]).tobytes() == np.float64(want[name]).tobytes(), name
     if kind in ("zero", "partly zero"):
-        values = CompiledModel(model, obs).evaluate(rho)
-        assert values["1"].probability < 1e-12 < values["0"].probability
+        p, _, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
+        assert p[model.outcomes.index("1")] < 1e-12 < p[model.outcomes.index("0")]
         assert all(np.isfinite(v) for v in got.values())
     assert all(np.isnan(v) for v in got.values()) == (kind == "nan")
 
@@ -642,7 +694,7 @@ def test_equalities_equal_per_cell_reports_bit_for_bit(kind, model, rho, obs, q)
     "xs", [[-0.0, 0.0], [0.0, -0.0], [-np.inf, 1.0], [np.inf, 1.0], [np.inf, np.inf], [1.0, np.nan], [2.0, 1.0]]
 )
 def test_spreads_keep_the_per_report_arithmetic(xs):
-    # Signed zeros and infinities come out as the per-report fold gives
+    # Signed zeros and infinities come out as the per-cell fold gives
     # them: deviations x − min(xs), NaN if any is NaN, and +0.0 for a zero spread.
     from symcond.symmetry import _TheoremInputs
 
@@ -669,15 +721,13 @@ def test_blockwise_matches_direct_on_random_conserving_models():
         model, q = random_number_conserving_model(2, 3, rng)
         rho = random_density(2, rng)
         obs = random_diagonal_observable(2, rng)
-        values = CompiledModel(model, obs).evaluate(rho)
+        _, direct_befores, direct_afters = CompiledModel(model, obs).conditional_values(rho.matrix)
         try:
             befores, afters = blockwise_conditional_values(model, rho, obs, q)
         except Exception as exc:
             assert isinstance(exc, ZeroProbabilityOutcome)
             continue
-        for label, before, after in zip(model.outcomes, befores, afters):
-            direct = values[label].report()
-            direct_before, direct_after = direct.before, direct.after
+        for before, after, direct_before, direct_after in zip(befores, afters, direct_befores, direct_afters):
             assert abs(before - direct_before) < 1e-9
             assert abs(after - direct_after) < 1e-9
 
@@ -689,6 +739,20 @@ def test_blockwise_nan_probability_raises_instead_of_nan_values():
     model = MeasurementModel(DensityState(varrho), setup.model.unitary, setup.model.pointer)
     with pytest.raises(ZeroProbabilityOutcome, match="nan"):
         blockwise_conditional_values(model, setup.system_state(0.0), setup.observable, setup.conserved)
+
+
+def test_blockwise_nan_precondition_residual_raises_value_error():
+    # A NaN in U makes the conservation residual NaN, which is not below
+    # any tolerance: the precondition names it, before any probability.
+    rng = np.random.default_rng(37)
+    model, q = random_number_conserving_model(2, 2, rng)
+    unitary = model.unitary.copy()
+    unitary[0, 0] = np.nan
+    broken = MeasurementModel(model.apparatus_state, unitary, model.pointer)
+    assert np.isnan(check_conservation(broken, q))
+    with pytest.raises(ValueError, match="precondition 'conservation' violated: residual nan") as exc:
+        blockwise_conditional_values(broken, random_density(2, rng), random_diagonal_observable(2, rng), q)
+    assert not isinstance(exc.value, ZeroProbabilityOutcome)
 
 
 def test_blockwise_names_the_first_zero_probability_outcome():
