@@ -26,11 +26,11 @@ from symcond import (
     CompiledModel,
     JCModelSpec,
     ZeroProbabilityOutcome,
-    blockwise_conditional_values,
     jc_hamiltonian,
     jc_unitary_closed_form,
 )
 from symcond.linalg import frob, unitary_from_generator
+from symcond.oracles import blockwise_conditional_values
 from symcond.sampling import (
     random_density,
     random_diagonal_observable,

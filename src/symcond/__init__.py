@@ -11,8 +11,6 @@ from .engine import (
     P_FLOOR,
     CompiledModel,
     ZeroProbabilityOutcome,
-    apply_instrument,
-    dual_instrument,
     induced_povm,
     weak_value,
 )
@@ -58,13 +56,11 @@ from .objects import (
 from .symmetry import (
     ConservedQuantity,
     TheoremVerdict,
-    blockwise_conditional_values,
     check_conservation,
     check_cross_elements_imaginary,
     check_symmetric_product_state,
     check_yanase,
     decohere,
-    random_conserving_unitary,
     verify_theorem1,
     verify_theorem2,
     verify_theorems,
@@ -92,8 +88,6 @@ __all__ = [
     "TheoremVerdict",
     "Violation",
     "ZeroProbabilityOutcome",
-    "apply_instrument",
-    "blockwise_conditional_values",
     "born_probability",
     "build_jc_model",
     "check_conservation",
@@ -101,7 +95,6 @@ __all__ = [
     "check_symmetric_product_state",
     "check_yanase",
     "decohere",
-    "dual_instrument",
     "fig1_scenario_path",
     "hermitian_eig",
     "induced_povm",
@@ -116,7 +109,6 @@ __all__ = [
     "parse_scenario",
     "partial_trace",
     "qubit_coherent_state",
-    "random_conserving_unitary",
     "unitary_from_generator",
     "validate",
     "verify_theorem1",

@@ -4,7 +4,8 @@ Subcommands: ``run`` (full report for one scenario), ``sweep`` (phase
 sweep), ``fig1`` (the sweep of the bundled canonical qubit-qubit scenario,
 written to a file),
 ``theorems`` (hypothesis/equality verdicts with assertion exit codes),
-``selftest`` (seeded randomized property checks).
+``selftest`` (the seeded randomized property checks of
+:mod:`symcond.oracles`).
 
 Exit codes: 0 ok, 2 parse/schema error, 3 invariant violation, 4 I/O
 failure, 5 assertion failed. All numeric output uses 17 significant
@@ -21,29 +22,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from math import pi
 
 import numpy as np
 
 from . import __version__
-from .engine import (
-    P_FLOOR,
-    CompiledModel,
-    ZeroProbabilityOutcome,
-    apply_instrument,
-    induced_povm,
-)
-from .jaynes_cummings import jc_hamiltonian, jc_unitary_closed_form, JCModelSpec
-from .linalg import frob, hermitian_eig, kron, unitary_from_generator
-from .sampling import (
-    random_density,
-    random_diagonal_density,
-    random_diagonal_observable,
-    random_hermitian,
-    random_model,
-    random_number_conserving_model,
-    random_observable,
-)
+from .engine import P_FLOOR, CompiledModel, ZeroProbabilityOutcome, _averages
+from .oracles import selftest_checks
 from .scenario import (
     MAX_SWEEP_ROWS,
     InvariantViolation,
@@ -53,13 +37,7 @@ from .scenario import (
     fig1_scenario_path,
     load_scenario,
 )
-from .symmetry import (
-    _worst,
-    blockwise_conditional_values,
-    decohere,
-    verify_theorem1,
-    verify_theorems,
-)
+from .symmetry import decohere, verify_theorems
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -166,18 +144,6 @@ def verdict_to_dict(verdict) -> dict:
         },
         "claimed_equalities_hold": verdict.claimed_equalities_hold,
     }
-
-
-def _averages(traces: np.ndarray) -> tuple[float, float]:
-    """(Σ_x p(x)·before(x), Σ_x p(x)·after(x)) = (Σ_x Re tr[M(x)Oρ],
-    Σ_x Re tr[K(x)ρ]) from one state's (3, |X|) ``CompiledModel.traces``,
-    summed in model order; outcomes not above P_FLOOR add 0."""
-    before = after = 0.0
-    for p, weak, aft in zip(*traces.real.tolist()):
-        if p > P_FLOOR:
-            before += weak
-            after += aft
-    return before, after
 
 
 def run_report(scenario: Scenario, tol: float) -> dict:
@@ -353,121 +319,6 @@ def cmd_theorems(args) -> int:
         return EXIT_OK
     ok = all(v.claimed_equalities_hold for v in verdicts.values())
     return EXIT_OK if ok else EXIT_ASSERT
-
-
-def _largest(residuals: list) -> float:
-    """The largest of the residuals (floats or arrays) by the NaN-propagating
-    fold ``_worst``; +0.0 if none is above zero."""
-    return _worst(*np.hstack([0.0, *residuals]).tolist())
-
-
-def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
-    """Seeded randomized property checks: (name, worst residual, threshold)."""
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, float, float]] = []
-
-    # Induced POVM reproduces the Schrödinger-picture instrument statistics.
-    residuals = []
-    for _ in range(20):
-        dims = rng.integers(2, 4, size=2)
-        model = random_model(int(dims[0]), int(dims[1]), rng)
-        effects = np.stack(induced_povm(model).effects)
-        states = np.stack([random_density(model.dim_s, rng).matrix for _ in range(5)])
-        born = np.clip(np.trace(effects @ states[:, None], axis1=-2, axis2=-1).real, 0.0, 1.0)
-        for i, outcome in enumerate(model.outcomes):
-            branches = apply_instrument(model, states, outcome)
-            residuals.append(np.abs(born[:, i] - np.trace(branches, axis1=-2, axis2=-1).real))
-    checks.append(("probability_reproducibility", _largest(residuals), 1e-10))
-
-    # Outcome-averaged before/after values match their closed forms.
-    residuals = []
-    for _ in range(20):
-        dims = rng.integers(2, 4, size=2)
-        model = random_model(int(dims[0]), int(dims[1]), rng)
-        state = random_density(model.dim_s, rng)
-        observable = random_observable(model.dim_s, rng)
-        joint = kron(state.matrix, model.apparatus_state.matrix)
-        evolved = model.unitary @ joint @ model.unitary.conj().T
-        target_after = float(
-            np.trace(kron(observable.matrix, np.eye(model.dim_a)) @ evolved).real
-        )
-        target_before = float(np.trace(observable.matrix @ state.matrix).real)
-        avg_before, avg_after = _averages(CompiledModel(model, observable).traces(state.matrix))
-        residuals += [abs(avg_before - target_before), abs(avg_after - target_after)]
-    checks.append(("average_identities", _largest(residuals), 1e-9))
-
-    # The weak value from M(x) agrees with the instrument applied to Oρ.
-    residuals = []
-    for _ in range(20):
-        dims = rng.integers(2, 4, size=2)
-        model = random_model(int(dims[0]), int(dims[1]), rng)
-        state = random_density(model.dim_s, rng)
-        observable = random_observable(model.dim_s, rng)
-        p, before, _ = CompiledModel(model, observable).conditional_values(state.matrix)
-        operands = np.stack([state.matrix, observable.matrix @ state.matrix])
-        for i in np.flatnonzero(p > 1e-6):
-            branches = apply_instrument(model, operands, model.outcomes[i])
-            traces = np.trace(branches, axis1=-2, axis2=-1).real
-            residuals.append(abs(before[i] - traces[1] / traces[0]))
-    checks.append(("weak_value_dual_route", _largest(residuals), 1e-9))
-
-    # Both coherence-irrelevance branches on conserving random instances.
-    residuals = []
-    for _ in range(10):
-        dims = rng.integers(2, 4, size=2)
-        model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
-        observable = random_diagonal_observable(model.dim_s, rng)
-        diag_state = random_diagonal_density(model.dim_s, rng)
-        v = verify_theorem1(model, diag_state, observable, quantity)
-        residuals += [v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]]
-        full_state = random_density(model.dim_s, rng)
-        v = verify_theorem1(model, full_state, observable, quantity)
-        residuals += [v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]]
-    checks.append(("theorem1_instances", _largest(residuals), 1e-9))
-
-    # Pinching algebra: idempotent, trace-preserving, L-compatible, fixed points.
-    residuals = []
-    for _ in range(20):
-        dim = int(rng.integers(2, 7))
-        l_op = random_hermitian(dim, rng)
-        spectrum = hermitian_eig(l_op)
-        a = random_density(dim, rng).matrix
-        pinched = decohere(a, spectrum)
-        commuting = l_op @ l_op
-        residuals += [
-            frob(decohere(pinched, spectrum) - pinched),
-            abs(np.trace(pinched).real - np.trace(a).real),
-            frob(pinched @ l_op - l_op @ pinched),
-            -float(np.linalg.eigvalsh(pinched).min()),  # −λ_min: above 0 only if not PSD
-            frob(decohere(commuting, spectrum) - commuting),
-        ]
-    checks.append(("decoherence_algebra", _largest(residuals), 1e-10))
-
-    # Blocked closed-form unitary against the spectral exponential.
-    residuals = []
-    for dim_a in range(2, 7):
-        for _ in range(3):
-            theta = float(rng.uniform(-2 * pi, 2 * pi))
-            spec = JCModelSpec(dim_s=2, dim_a=dim_a, theta=theta)
-            direct = jc_unitary_closed_form(spec)
-            spectral = unitary_from_generator(jc_hamiltonian(2, dim_a).matrix, theta)
-            residuals.append(frob(direct - spectral))
-    checks.append(("closed_form_unitary", _largest(residuals), 1e-10))
-
-    # Blockwise sector path against the direct conditional values.
-    residuals = []
-    for _ in range(10):
-        dims = rng.integers(2, 4, size=2)
-        model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
-        observable = random_diagonal_observable(model.dim_s, rng)
-        state = random_density(model.dim_s, rng)
-        p, before, after = CompiledModel(model, observable).conditional_values(state.matrix)
-        before_bw, after_bw = blockwise_conditional_values(model, state, observable, quantity)
-        kept = p > 1e-6
-        residuals += [np.abs(before_bw - before)[kept], np.abs(after_bw - after)[kept]]
-    checks.append(("blockwise_crosspath", _largest(residuals), 1e-9))
-
-    return checks
 
 
 def _seed() -> int:

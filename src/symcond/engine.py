@@ -1,8 +1,7 @@
 """Instrument action, outcome probabilities, and conditional values.
 
 Every quantity is computed from two system operators per pointer outcome
-x, both images of :func:`dual_instrument` (the Heisenberg-picture
-instrument):
+x, both images of the Heisenberg-picture instrument:
 
     M(x) = tr_A[(1 ⊗ ϱ) U† (1 ⊗ P^x) U]    the induced effect,
     K(x) = tr_A[(1 ⊗ ϱ) U† (O ⊗ P^x) U]    its "after" twin.
@@ -48,19 +47,16 @@ one batched (d_a, k·d_s, n)·(d_a, n, d_s) product over c, and the branch
 operator of outcome x is the level sum Σ_c w_xc T^a_c, one (|X| × d_a)
 product. Neither a nor w is assumed Hermitian, real or 0/1. This costs
 about 2k·n²·d_s + n²·d_a work (n = d_s·d_a; n²·d_a more when B ≠ 1) and
-O(k·n²) memory, instead of 4|X|·n³ for the sandwiches.
-
-:func:`dual_instrument` (the Heisenberg sandwich, one outcome at a time)
-and :func:`apply_instrument` (the Schrödinger-picture instrument, on one
-operand or a stack of them) are the documented formulas and the
-independent checks of this route; no production path calls either.
+O(k·n²) memory, instead of 4|X|·n³ for the sandwiches. The sandwiches
+themselves, and the Schrödinger-picture instrument, are the independent
+checks of this route in :mod:`symcond.oracles`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, ensure_hermitian, kron, partial_trace
+from .linalg import dagger, ensure_hermitian
 from .objects import DensityState, EffectSet, MeasurementModel, ObservableOp, born_probability
 
 # Conditional values are undefined at p(x) = 0. A probability not above
@@ -79,46 +75,11 @@ class ZeroProbabilityOutcome(ValueError):
         )
 
 
-def apply_instrument(
-    model: MeasurementModel, operand: np.ndarray, outcome: str
-) -> np.ndarray:
-    """Unnormalized outcome branch tr_A[(1 ⊗ P^x) U (operand ⊗ ϱ) U†].
-
-    Linear in ``operand``, which need not be Hermitian. This is the
-    Schrödinger-picture instrument; it is the adjoint of
-    :func:`dual_instrument` and serves as its independent check.
-    ``operand`` may be one d_s×d_s matrix or a (…, d_s, d_s) stack; each
-    matrix of a stack gets the arithmetic it gets alone, so the branches
-    are the one-operand results bit for bit.
-    """
-    proj = kron(np.eye(model.dim_s), model.pointer.projector(outcome))
-    joint = model.unitary @ kron(operand, model.apparatus_state.matrix) @ model.unitary.conj().T
-    return partial_trace(proj @ joint, model.dim_s, model.dim_a, over="apparatus")
-
-
-def dual_instrument(
-    model: MeasurementModel, operator: np.ndarray, outcome: str
-) -> np.ndarray:
-    """Heisenberg-picture branch operator tr_A[(1 ⊗ ϱ) U† (operator ⊗ P^x) U].
-
-    The adjoint of :func:`apply_instrument`: for every system operator
-    ``a`` and operand ``r``, tr[dual_instrument(a) r] equals
-    tr[a apply_instrument(r)]. ``operator`` = 1 gives the induced effect
-    M(x); the observable gives K(x). It forms the full n×n sandwich for
-    one outcome, so it is the formula's reference form and the check of
-    :func:`branch_operators`, which builds every outcome without it.
-    """
-    u = model.unitary
-    heisenberg = dagger(u) @ kron(operator, model.pointer.projector(outcome)) @ u
-    x4 = heisenberg.reshape(model.dim_s, model.dim_a, model.dim_s, model.dim_a)
-    return np.einsum("ab,sbta->st", model.apparatus_state.matrix, x4)
-
-
 def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...]) -> np.ndarray:
     """Heisenberg branch operators of several system operators at once.
 
     Returns the (len(operators), |X|, d_s, d_s) stack whose [k, i] entry
-    equals ``dual_instrument(model, operators[k], model.outcomes[i])``,
+    equals ``oracles.dual_instrument(model, operators[k], model.outcomes[i])``,
     built by the level-sum contraction of the module docstring from the
     pointer's level table, never forming U†(a ⊗ P^x)U: about
     2k·n²·d_s + n²·d_a work in O(k·n²) memory for k operators.
@@ -164,7 +125,7 @@ class CompiledModel:
     """A measurement model and an observable reduced to their branch operators.
 
     Built once per (model, observable): for every outcome x it stacks M(x),
-    M(x)·O and K(x), the d_s×d_s images of :func:`dual_instrument`, with
+    M(x)·O and K(x), the d_s×d_s images of ``oracles.dual_instrument``, with
     one :func:`branch_operators` call (about 4n²·d_s + n²·d_a work,
     whatever the number of outcomes); a pointer without a level table
     (projectors that share no eigenbasis) raises ValueError.
@@ -203,6 +164,18 @@ class CompiledModel:
         p = _clamped(traces[..., 0, :].real)
         with np.errstate(divide="ignore", invalid="ignore"):
             return p, traces[..., 1, :].real / p, traces[..., 2, :].real / p
+
+
+def _averages(traces: np.ndarray) -> tuple[float, float]:
+    """(Σ_x p(x)·before(x), Σ_x p(x)·after(x)) = (Σ_x Re tr[M(x)Oρ],
+    Σ_x Re tr[K(x)ρ]) from one state's (3, |X|) ``CompiledModel.traces``,
+    summed in model order; outcomes not above P_FLOOR add 0."""
+    before = after = 0.0
+    for p, weak, aft in zip(*traces.real.tolist()):
+        if p > P_FLOOR:
+            before += weak
+            after += aft
+    return before, after
 
 
 def weak_value(

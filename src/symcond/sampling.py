@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .jaynes_cummings import number_operator, number_pointer
-from .linalg import dagger
+from .linalg import dagger, unitary_from_generator
 from .objects import DensityState, MeasurementModel, ObservableOp, PointerObservable
-from .symmetry import ConservedQuantity, random_conserving_unitary
+from .symmetry import ConservedQuantity, decohere
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,6 +64,20 @@ def random_model(dim_s: int, dim_a: int, rng: np.random.Generator) -> Measuremen
         unitary=random_unitary(dim_s * dim_a, rng),
         pointer=random_pointer(dim_a, rng),
     )
+
+
+def random_conserving_unitary(quantity: ConservedQuantity, rng: np.random.Generator) -> np.ndarray:
+    """Random unitary commuting with the additive conserved quantity.
+
+    A complex Gaussian matrix is hermitized, pinched onto the
+    fixed-total-eigenvalue blocks of L (so the generator commutes with L
+    exactly up to round-off), then exponentiated. No rejection sampling.
+    """
+    total = quantity.total_operator()
+    n = total.shape[0]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = (g + dagger(g)) / 2
+    return unitary_from_generator(decohere(g, total), 1.0)
 
 
 def random_diagonal_density(dim: int, rng: np.random.Generator) -> DensityState:

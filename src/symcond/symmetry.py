@@ -8,32 +8,18 @@ coherence between distinct eigenvalue sectors.
 The two verifiers measure (never assume) their hypotheses and report
 residuals for every claimed equality, so a caller can tell "hypothesis
 broken, nothing asserted" apart from "hypothesis held, equality failed".
-A blockwise evaluation of every outcome's conditional values over
-total-eigenvalue sectors is included as an independent cross-check path;
-it shares no evaluation code with the engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .engine import P_FLOOR, CompiledModel, ZeroProbabilityOutcome
-from .linalg import (
-    SpectralDecomposition,
-    commutator,
-    cluster_labels,
-    cluster_tolerance,
-    dagger,
-    frob,
-    hermitian_eig,
-    kron,
-    unitary_from_generator,
-)
+from .engine import P_FLOOR, CompiledModel
+from .linalg import SpectralDecomposition, commutator, dagger, frob, hermitian_eig, kron
 from .objects import DensityState, MeasurementModel, ObservableOp
 
 
@@ -430,93 +416,3 @@ def verify_theorems(
         "theorem1": _theorem1(shared, state, quantity, tol),
         "theorem2": _theorem2(shared, model, state, observable, quantity, tol),
     }
-
-
-def blockwise_conditional_values(
-    model: MeasurementModel,
-    state: DensityState,
-    observable: ObservableOp,
-    quantity: ConservedQuantity,
-    tol: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional (before, after) of every outcome, two arrays in
-    ``model.outcomes`` order, evaluated blockwise over total-eigenvalue
-    sectors: an independent path that must agree with the direct formulas.
-
-    The conservation law confines U to blocks of fixed total eigenvalue
-    l = m + μ, so each conditional value decomposes into a sum over sector
-    pairs (m, μ), (n, ν) with m + μ = n + ν = l of projected traces:
-
-        after  = (1/p)  Σ_l Σ_{(m,μ)_l} Σ_{(n,ν)_l}
-                 tr[(O ⊗ P^x) U (Q_S^m ρ Q_S^n ⊗ Q_A^μ ϱ Q_A^ν) U†]
-        before = (1/2p) Σ_l Σ_{(m,μ)_l} Σ_{(n,ν)_l}
-                 tr[(1 ⊗ P^x) U (Q_S^m (Oρ + ρO) Q_S^n ⊗ Q_A^μ ϱ Q_A^ν) U†]
-
-    Each sector-pair block is formed once and traced against the stacked
-    Heisenberg operators of all outcomes, each outcome's sum in the same
-    order as alone. The derivation needs the conservation law, pointer
-    compatibility, and [O, L_S] = 0; their residuals are measured first
-    and any not below ``tol`` (NaN included) raises ValueError. p(x) is
-    computed directly here, not through the engine; the first outcome
-    whose p(x) is not above P_FLOOR raises ZeroProbabilityOutcome.
-    """
-    for name, residual in _shared_hypotheses(model, observable, quantity).items():
-        if not residual < tol:
-            raise ValueError(
-                f"blockwise path precondition {name!r} violated: "
-                f"residual {residual:.3e} not below {tol:.3e}"
-            )
-
-    dec_s = hermitian_eig(quantity.system_part.matrix)
-    dec_a = hermitian_eig(quantity.apparatus_part.matrix)
-    rho = state.matrix
-    varrho = model.apparatus_state.matrix
-    u = model.unitary
-    projs = np.stack(model.pointer.projectors)  # [x, c, d], outcomes in model order
-    eye_s = np.eye(model.dim_s)
-
-    joint = u @ kron(rho, varrho) @ dagger(u)
-    p = np.trace(kron(eye_s, projs) @ joint, axis1=-2, axis2=-1).real
-    for outcome, px in zip(model.outcomes, p.tolist()):
-        if not px > P_FLOOR:
-            raise ZeroProbabilityOutcome(outcome, px)
-
-    # Pairs (m, μ) grouped by their total eigenvalue m + μ.
-    sector_pairs = list(itertools.product(range(len(dec_s.eigenvalues)), range(len(dec_a.eigenvalues))))
-    totals = np.array([dec_s.eigenvalues[m] + dec_a.eigenvalues[mu] for m, mu in sector_pairs])
-    order = np.argsort(totals, kind="stable")
-    labels_sorted = cluster_labels(totals[order], cluster_tolerance(totals))
-    label_of = np.empty(len(sector_pairs), dtype=int)
-    label_of[order] = labels_sorted
-    blocks: dict[int, list[tuple[int, int]]] = {}
-    for pair, lab in zip(sector_pairs, label_of):
-        blocks.setdefault(int(lab), []).append(pair)
-
-    # Heisenberg-picture operators make each projected trace a single
-    # contraction: tr[A U B U†] = tr[(U† A U) B]. Row 0 serves after
-    # (O ⊗ P^x against ρ), row 1 before (1 ⊗ P^x against Oρ + ρO).
-    ops = dagger(u) @ np.stack([kron(observable.matrix, projs), kron(eye_s, projs)]) @ u
-    operands = np.stack([rho, observable.matrix @ rho + rho @ observable.matrix])
-
-    sums = np.zeros((2, len(p)), dtype=complex)
-    for pairs in blocks.values():
-        for (m, mu), (n, nu) in itertools.product(pairs, pairs):
-            system = dec_s.projectors[m] @ operands @ dec_s.projectors[n]
-            apparatus = dec_a.projectors[mu] @ varrho @ dec_a.projectors[nu]
-            sums += np.trace(ops @ kron(system, apparatus)[:, None], axis1=-2, axis2=-1)
-    after_sum, before_sum = sums.real
-    return before_sum / (2 * p), after_sum / p
-
-
-def random_conserving_unitary(quantity: ConservedQuantity, rng: np.random.Generator) -> np.ndarray:
-    """Random unitary commuting with the additive conserved quantity.
-
-    A complex Gaussian matrix is hermitized, pinched onto the
-    fixed-total-eigenvalue blocks of L (so the generator commutes with L
-    exactly up to round-off), then exponentiated. No rejection sampling.
-    """
-    total = quantity.total_operator()
-    n = total.shape[0]
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g = (g + dagger(g)) / 2
-    return unitary_from_generator(decohere(g, total), 1.0)

@@ -21,8 +21,6 @@ from symcond import (
     ObservableOp,
     PointerObservable,
     ZeroProbabilityOutcome,
-    apply_instrument,
-    blockwise_conditional_values,
     build_jc_model,
     decohere,
     fig1_scenario_path,
@@ -35,16 +33,17 @@ from symcond import (
 from symcond.cli import main, sweep_records
 from symcond.jaynes_cummings import number_operator, number_pointer
 from symcond.linalg import frob
+from symcond.oracles import apply_instrument, blockwise_conditional_values
 from symcond.sampling import (
     random_density,
     random_diagonal_density,
     random_diagonal_observable,
     random_model,
     random_number_conserving_model,
+    random_conserving_unitary,
     random_observable,
     random_unitary,
 )
-from symcond.symmetry import random_conserving_unitary
 
 
 def report(n: int, name: str, ok: bool, detail: str) -> None:

@@ -14,7 +14,6 @@ from symcond import (
     ObservableOp,
     fig1_scenario_path,
     load_scenario,
-    random_conserving_unitary,
 )
 from symcond.cli import (
     EXIT_ASSERT,
@@ -25,10 +24,15 @@ from symcond.cli import (
     SweepRecord,
     main,
     run_report,
-    selftest_checks,
     sweep_records,
 )
-from symcond.sampling import random_density, random_diagonal_observable, random_number_conserving_model
+from symcond.oracles import selftest_checks
+from symcond.sampling import (
+    random_conserving_unitary,
+    random_density,
+    random_diagonal_observable,
+    random_number_conserving_model,
+)
 from symcond.scenario import matrix_to_pairs
 
 FIG1 = str(fig1_scenario_path())
@@ -474,8 +478,8 @@ def test_stacked_sweep_equals_per_point_reports(zero_outcome, tmp_path):
 
 
 def test_selftest_decomposes_each_random_observable_once(monkeypatch):
-    import symcond.cli
     import symcond.linalg
+    import symcond.oracles
     import symcond.symmetry
 
     # Only the decoherence-algebra check decomposes non-diagonal operators
@@ -490,7 +494,7 @@ def test_selftest_decomposes_each_random_observable_once(monkeypatch):
             dense.append(h.tobytes())
         return real(h, *args)
 
-    monkeypatch.setattr(symcond.cli, "hermitian_eig", counting, raising=False)
+    monkeypatch.setattr(symcond.oracles, "hermitian_eig", counting, raising=False)
     monkeypatch.setattr(symcond.symmetry, "hermitian_eig", counting)
     checks = {name: residual for name, residual, _ in selftest_checks(42)}
     assert checks["decoherence_algebra"] < 1e-10
@@ -723,14 +727,14 @@ def test_selftest_seed_takes_what_int_takes(capsys, monkeypatch):
     ids=["blockwise", "instrument"],
 )
 def test_selftest_fails_on_a_nan_residual(target, nan_like, failing, capsys, monkeypatch):
-    import symcond.cli
+    import symcond.oracles
 
-    real = getattr(symcond.cli, target)
+    real = getattr(symcond.oracles, target)
 
     def nan_valued(*args):
         return nan_like(real(*args))
 
-    monkeypatch.setattr(symcond.cli, target, nan_valued)
+    monkeypatch.setattr(symcond.oracles, target, nan_valued)
     assert main(["selftest"]) == EXIT_ASSERT
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[1].rstrip(":") for line in lines if "FAIL (max residual nan," in line}
@@ -739,12 +743,12 @@ def test_selftest_fails_on_a_nan_residual(target, nan_like, failing, capsys, mon
 
 
 def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
-    import symcond.cli
+    import symcond.oracles
 
     log, models, operands = [], [], {}
 
     def recording(name):
-        real = getattr(symcond.cli, name)
+        real = getattr(symcond.oracles, name)
 
         def wrapped(*args, **kwargs):
             log.append(name)
@@ -753,7 +757,7 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
                 models.append(out)
             return out
 
-        monkeypatch.setattr(symcond.cli, name, wrapped)
+        monkeypatch.setattr(symcond.oracles, name, wrapped)
 
     for name in (
         "random_model",
@@ -766,13 +770,13 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
         "blockwise_conditional_values",
     ):
         recording(name)
-    instrument = symcond.cli.apply_instrument
+    instrument = symcond.oracles.apply_instrument
 
     def counting_instrument(model, operand, outcome):
         operands[id(model)] = operands.get(id(model), 0) + operand[..., 0, 0].size
         return instrument(model, operand, outcome)
 
-    monkeypatch.setattr(symcond.cli, "apply_instrument", counting_instrument)
+    monkeypatch.setattr(symcond.oracles, "apply_instrument", counting_instrument)
     assert all(residual < threshold for _, residual, threshold in selftest_checks(42))
 
     conserving = "random_number_conserving_model"

@@ -17,13 +17,12 @@ from symcond import (
     ObservableOp,
     PointerObservable,
     ZeroProbabilityOutcome,
-    apply_instrument,
-    dual_instrument,
     fig1_scenario_path,
     induced_povm,
     load_scenario,
     weak_value,
 )
+from symcond.oracles import apply_instrument, dual_instrument
 from symcond.sampling import random_density, random_model, random_observable, random_unitary
 
 

@@ -45,6 +45,14 @@ def test_validate_density_hermiticity():
     assert v.invariant == "hermiticity"
 
 
+def test_validate_density_nan_entry_is_a_hermiticity_violation():
+    # A NaN residual fails the first test it meets instead of passing it.
+    v = validate(DensityState(np.array([[0.5, np.nan], [0.0, 0.5]], dtype=complex)))
+    assert v is not None
+    assert v.invariant == "hermiticity"
+    assert np.isnan(v.residual)
+
+
 def test_validate_density_negativity():
     v = validate(DensityState(np.diag([1.5, -0.5]).astype(complex)))
     assert v is not None
@@ -260,7 +268,7 @@ def test_induced_povm_reproduces_probabilities():
     rng = np.random.default_rng(2024)
     model = random_model(2, 3, rng)
     effects = induced_povm(model)
-    from symcond.engine import apply_instrument
+    from symcond.oracles import apply_instrument
 
     for _ in range(20):
         rho = random_density(2, rng)

@@ -20,7 +20,6 @@ from symcond import (
     ObservableOp,
     PointerObservable,
     ZeroProbabilityOutcome,
-    blockwise_conditional_values,
     build_jc_model,
     check_conservation,
     check_cross_elements_imaginary,
@@ -34,9 +33,11 @@ from symcond import (
     verify_theorem2,
     verify_theorems,
 )
-from symcond.jaynes_cummings import number_operator, number_pointer
-from symcond.linalg import frob, hermitian_eig, kron
+from symcond.jaynes_cummings import ladder_lower, number_operator, number_pointer
+from symcond.linalg import frob, hermitian_eig, kron, unitary_from_generator
+from symcond.oracles import blockwise_conditional_values
 from symcond.sampling import (
+    random_conserving_unitary,
     random_density,
     random_diagonal_density,
     random_diagonal_observable,
@@ -45,7 +46,6 @@ from symcond.sampling import (
     random_pointer,
     random_unitary,
 )
-from symcond.symmetry import random_conserving_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -546,17 +546,17 @@ def test_verify_theorem2_asymmetric_phase_breaks_chain():
 
 
 @st.composite
-def conserving_instances(draw):
-    """(model, ρ, O, q) with n = d_s·d_a ≤ 16 and theorem 1's model
+def conserving_models(draw, use_jc=st.booleans()):
+    """(model, q, rng) with n = d_s·d_a ≤ 16 and theorem 1's model
     hypotheses true by construction: a U that conserves L_S ⊗ 1 + 1 ⊗ L_A
-    (Jaynes-Cummings, or ``random_conserving_unitary`` over an L_A with a
-    degenerate eigenvalue), a number pointer whose outcomes are unions of
-    L_A's eigenspaces, and a diagonal O. ρ is diagonal (every hypothesis
-    holds) or a full density matrix (the state hypothesis breaks)."""
+    (Jaynes-Cummings when ``use_jc`` draws True, else ``random_conserving_unitary``
+    over an L_A with a degenerate eigenvalue), a number pointer whose
+    outcomes are unions of L_A's eigenspaces, and a full random ϱ; ``rng``
+    goes on to draw the rest of the instance."""
     dim_s = draw(st.sampled_from([2, 3, 4]))
     dim_a = draw(st.integers(2, 16 // dim_s))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if draw(use_jc):
         levels = np.arange(dim_a)  # N_A: one eigenspace per level
         theta = draw(st.floats(-2 * np.pi, 2 * np.pi))
         jc, q = build_jc_model(JCModelSpec(dim_s, dim_a, theta), DensityState(np.eye(dim_a) / dim_a))
@@ -571,7 +571,16 @@ def conserving_instances(draw):
     partition = [
         (f"x{k}", np.flatnonzero(np.isin(levels, sectors[outcome_of == k])).tolist()) for k in np.unique(outcome_of)
     ]
-    model = MeasurementModel(random_density(dim_a, rng), unitary, number_pointer(dim_a, partition))
+    return MeasurementModel(random_density(dim_a, rng), unitary, number_pointer(dim_a, partition)), q, rng
+
+
+@st.composite
+def conserving_instances(draw):
+    """(model, ρ, O, q): a ``conserving_models`` model and a diagonal O.
+    ρ is diagonal (every hypothesis holds) or a full density matrix (the
+    state hypothesis breaks)."""
+    model, q, rng = draw(conserving_models())
+    dim_s = model.dim_s
     rho = random_diagonal_density(dim_s, rng) if draw(st.booleans()) else random_density(dim_s, rng)
     return model, rho, random_diagonal_observable(dim_s, rng), q
 
@@ -593,6 +602,94 @@ def test_theorem1_is_sound_on_drawn_conserving_instances():
     check()
     assert reached["system_commutes_before"] >= 20, reached
     assert reached["ancilla_commutes_before"] >= 50, reached
+
+
+def real_density(dim: int, rng: np.random.Generator) -> DensityState:
+    """Full-rank random density matrix with real entries: symmetric in the number basis."""
+    g = rng.standard_normal((dim, dim))
+    m = g @ g.T
+    return DensityState((m / np.trace(m)).astype(complex))
+
+
+@st.composite
+def symmetric_instances(draw):
+    """(model, ρ, O, q): a ``conserving_models`` model, mostly
+    Jaynes-Cummings, with a real diagonal O. ρ and ϱ are each, mostly, real
+    (theorem 2's symmetric-state hypothesis then holds) and otherwise a full
+    complex density matrix."""
+    mostly = st.sampled_from([True, True, True, False])
+    model, q, rng = draw(conserving_models(use_jc=mostly))
+    if draw(mostly):
+        model = MeasurementModel(real_density(model.dim_a, rng), model.unitary, model.pointer)
+    rho = real_density(model.dim_s, rng) if draw(mostly) else random_density(model.dim_s, rng)
+    return model, rho, random_diagonal_observable(model.dim_s, rng), q
+
+
+def test_theorem2_is_sound_on_drawn_conserving_instances():
+    # No drawn instance may have every theorem-2 hypothesis held and a chain
+    # broken; enough instances reach the claim that this is not vacuous.
+    reached = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(symmetric_instances())
+    def check(instance):
+        v = verify_theorem2(*instance)
+        if v.all_hypotheses_hold:
+            assert v.all_equalities_hold, (v.hypotheses, v.equalities)
+            reached.append(max(v.equalities.values()))
+
+    check()
+    assert len(reached) >= 20, reached
+
+
+def theorem2_counterexample(broken: str):
+    """A Jaynes-Cummings instance with real ρ, ϱ and diagonal O (every
+    theorem-2 hypothesis held) altered so that only ``broken`` fails.
+
+    With a qubit system every step of a real coupling flips the system
+    level, so U†(O ⊗ P^x)U has no real doubly-off-diagonal element while
+    O ⊗ P^x is real and commutes with σ_z ⊗ 1 (the rotated pointer), or is
+    imaginary and anticommutes with it (the σ_y part of O): each
+    alteration keeps ``cross_elements``. A qutrit system lets two steps
+    reach such an element, which breaks ``cross_elements`` alone."""
+    rng = np.random.default_rng(42)
+    dim_s = 3 if broken == "cross_elements" else 2
+    model, q = build_jc_model(JCModelSpec(dim_s, 3, 0.9), real_density(3, rng))
+    rho = real_density(dim_s, rng)
+    obs = ObservableOp(np.diag(rng.standard_normal(dim_s)).astype(complex))
+    if broken == "conservation":
+        # exp(−iθ σ_x ⊗ (a + a†)): the counter-rotating terms change the total number.
+        a = ladder_lower(3)
+        u = unitary_from_generator(kron(SIGMA_X, a + a.conj().T), 0.9)
+        model = MeasurementModel(model.apparatus_state, u, model.pointer)
+    elif broken == "yanase":
+        c, s = np.cos(0.3), np.sin(0.3)
+        r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # a real rotation mixing levels 0 and 1
+        projectors = tuple(np.outer(r[:, i], r[:, i]).astype(complex) for i in range(3))
+        model = MeasurementModel(model.apparatus_state, model.unitary, PointerObservable(("x0", "x1", "x2"), projectors))
+    elif broken == "observable_commutes":
+        obs = ObservableOp(obs.matrix + np.array([[0, -1j], [1j, 0]]))  # + σ_y
+    return model, rho, obs, q
+
+
+@pytest.mark.parametrize("broken", ["conservation", "yanase", "observable_commutes", "cross_elements"])
+def test_theorem2_counterexample_breaks_only_one_hypothesis(broken):
+    # Each hypothesis is needed: with it alone broken, a chain fails.
+    v = verify_theorem2(*theorem2_counterexample(broken))
+    assert [h for h, held in v.hypotheses_held.items() if not held] == [broken]
+    assert v.hypotheses[broken] > 1e-2
+    assert max(v.equalities.values()) > 1e-3, v.equalities
+    assert v.claimed_equalities_hold  # nothing is claimed
+
+
+def test_a_hypothesis_at_the_tolerance_is_broken():
+    # Held means strictly below the tolerance.
+    instance = theorem2_counterexample("cross_elements")
+    residual = verify_theorem2(*instance).hypotheses["cross_elements"]
+    v = verify_theorem2(*instance, tol=residual)
+    assert not v.hypotheses_held["cross_elements"]
+    assert v.hypotheses_held["conservation"]
+    assert not v.equality_claimed("before_chain")
 
 
 def test_verify_theorems_equals_the_single_verifiers():
