@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from symcond import fig1_scenario_path, load_scenario
-from symcond.cli import sweep_records
+from symcond.report import sweep_records
 
 
 def ascii_plot(phis: np.ndarray, values: np.ndarray, width: int = 61, height: int = 15) -> None:

@@ -1,33 +1,24 @@
-"""Command-line front end.
+"""Command-line front end: argparse, exit codes and I/O.
 
 Subcommands: ``run`` (full report for one scenario), ``sweep`` (phase
-sweep), ``fig1`` (the sweep of the bundled canonical qubit-qubit scenario,
-written to a file),
-``theorems`` (hypothesis/equality verdicts with assertion exit codes),
-``selftest`` (the seeded randomized property checks of
-:mod:`symcond.oracles`).
-
-Exit codes: 0 ok, 2 parse/schema error, 3 invariant violation, 4 I/O
-failure, 5 assertion failed. All numeric output uses 17 significant
-digits and "\\n" line endings so identical inputs give byte-identical
-output.
+sweep), ``fig1`` (the sweep of the bundled qubit-qubit scenario, written
+to ``--out``), ``theorems`` (hypothesis/equality verdicts with assertion
+exit codes), ``selftest`` (the seeded randomized property checks of
+:mod:`symcond.oracles`). :mod:`symcond.report` forms and renders every
+report; this module parses the arguments, writes stdout and ``--out``,
+and maps each error to its exit code: 0 ok, 2 parse/schema error,
+3 invariant violation, 4 I/O failure, 5 assertion failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import __version__
-from .engine import P_FLOOR, CompiledModel, ZeroProbabilityOutcome, _averages
 from .oracles import selftest_checks
+from .report import render_sweep, render_theorems, run_report, run_report_csv, sweep_records, theorem_verdicts, to_json
 from .scenario import (
     MAX_SWEEP_ROWS,
     InvariantViolation,
@@ -37,7 +28,6 @@ from .scenario import (
     fig1_scenario_path,
     load_scenario,
 )
-from .symmetry import decohere, verify_theorems
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -49,198 +39,14 @@ SEED_ENV_VAR = "SYMCOND_SEED"
 DEFAULT_SEED = 42
 
 
-def fmt(x: float) -> str:
-    """Fixed 17-significant-digit decimal formatting for reproducible files."""
-    return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (phase, outcome) evaluation of the coherent/decohered contrast."""
-
-    phi: float
-    outcome: str
-    probability: float
-    delta_coherent: float
-    delta_decohered: float
-    difference: float
-
-
-def sweep_records(scenario: Scenario, grid: np.ndarray) -> tuple[list[SweepRecord], list[str]]:
-    """Evaluate the conditional-change contrast over a grid of system-state phases.
-
-    For each grid point the scenario's system state at that phase and its
-    decohered counterpart (pinched by the system part of the conserved
-    quantity) are measured; ``difference`` is delta_coherent −
-    delta_decohered. Rows are ordered by (grid index, outcome label). A
-    zero-probability outcome at one point is recorded as an error string
-    and does not abort the sweep.
-
-    The G states form one (G, 2, 2) stack, pinched by one ``decohere``
-    call; each stack is evaluated by one ``CompiledModel.conditional_values``
-    call; each row's delta is after − before, and a pair of cells whose
-    p is not above P_FLOOR gives the ``ZeroProbabilityOutcome`` text of
-    the first such cell as its error line.
-    """
-    if scenario.conserved is None:
-        raise ScenarioError("conserved", "phase sweeps need a conserved quantity for the decohered branch")
-    compiled = CompiledModel(scenario.model, scenario.observable)
-    states = scenario.system_states(grid)
-    p, before, after = (a.tolist() for a in compiled.conditional_values(states))
-    decohered = decohere(states, scenario.conserved.system_spectrum)
-    p_dec, before_dec, after_dec = (a.tolist() for a in compiled.conditional_values(decohered))
-    labels = scenario.model.outcomes
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    records: list[SweepRecord] = []
-    errors: list[str] = []
-    for g, phi in enumerate(grid.tolist()):
-        for i in order:
-            low = next((q[g][i] for q in (p, p_dec) if not q[g][i] > P_FLOOR), None)
-            if low is not None:
-                errors.append(f"phi={fmt(phi)} outcome={labels[i]}: {ZeroProbabilityOutcome(labels[i], low)}")
-                continue
-            d, d_dec = after[g][i] - before[g][i], after_dec[g][i] - before_dec[g][i]
-            records.append(SweepRecord(phi, labels[i], p[g][i], d, d_dec, d - d_dec))
-    return records, errors
-
-
-def sweep_to_csv(records: list[SweepRecord], errors: list[str]) -> str:
-    """Render sweep records as deterministic CSV with a gnuplot-style header."""
-    buf = io.StringIO()
-    buf.write("# conditional-change sweep: difference = delta_coherent - delta_decohered\n")
-    buf.write("# columns: 1:phi(rad) 2:outcome 3:probability 4:delta_coherent 5:delta_decohered 6:difference\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["phi", "outcome", "probability", "delta_coherent", "delta_decohered", "difference"])
-    for r in records:
-        writer.writerow(
-            [fmt(r.phi), r.outcome, fmt(r.probability), fmt(r.delta_coherent), fmt(r.delta_decohered), fmt(r.difference)]
-        )
-    for e in errors:
-        buf.write(f"# error: {e}\n")
-    return buf.getvalue()
-
-
-def sweep_to_json(records: list[SweepRecord], errors: list[str]) -> str:
-    payload = {"records": [asdict(r) for r in records], "errors": errors}
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def verdict_to_dict(verdict) -> dict:
-    return {
-        "tolerance": verdict.tolerance,
-        "hypotheses": {
-            name: {"residual": residual, "held": held}
-            for (name, residual), held in zip(
-                verdict.hypotheses.items(), verdict.hypotheses_held.values()
-            )
-        },
-        "equalities": {
-            name: {
-                "residual": residual,
-                "held": verdict.equalities_held[name],
-                "claimed": verdict.equality_claimed(name),
-            }
-            for name, residual in verdict.equalities.items()
-        },
-        "claimed_equalities_hold": verdict.claimed_equalities_hold,
-    }
-
-
-def run_report(scenario: Scenario, tol: float) -> dict:
-    """Full structured report for one scenario at its own phase.
-
-    The outcome rows and averages come from one ``CompiledModel.traces``
-    call: p(x) is clamped to [0, 1] as born_probability clamps, before,
-    after and the weak value's imaginary part are trace rows over p(x),
-    and an outcome not above P_FLOOR is an ``error`` entry. Rows are
-    sorted by outcome label.
-    """
-    model, observable = scenario.model, scenario.observable
-    labels = model.outcomes
-    state = scenario.system_state()
-    compiled = CompiledModel(model, observable)
-    traces = compiled.traces(state.matrix)
-    probability = [min(max(p, 0.0), 1.0) for p in traces[0].real.tolist()]
-    weak, after_numerator = traces[1].tolist(), traces[2].real.tolist()
-    outcomes = []
-    for i in sorted(range(len(labels)), key=labels.__getitem__):
-        p = probability[i]
-        if not p > P_FLOOR:
-            outcomes.append({"outcome": labels[i], "probability": p, "error": "zero-probability outcome"})
-            continue
-        before, after = weak[i].real / p, after_numerator[i] / p
-        outcomes.append(
-            {
-                "outcome": labels[i],
-                "probability": p,
-                "before": before,
-                "after": after,
-                "delta": after - before,
-                "weak_value_imag": (weak[i] / p).imag,
-            }
-        )
-    before, after = _averages(traces)
-    report = {
-        "scenario": scenario.source,
-        "tolerance": tol,
-        "validation": "ok",
-        "outcomes": outcomes,
-        "averages": {"before": before, "after": after},
-    }
-    if scenario.conserved is not None:
-        verdicts = verify_theorems(model, state, observable, scenario.conserved, tol, _compiled=compiled)
-        theorem1 = verdicts["theorem1"]
-        checks = {
-            "conservation": theorem1.hypotheses["conservation"],
-            "yanase": theorem1.hypotheses["yanase"],
-            "symmetric_product_state": verdicts["theorem2"].terms["symmetric_state"][0],
-        }
-        report["checks"] = {
-            name: {"residual": residual, "tolerance": tol, "held": residual < tol}
-            for name, residual in checks.items()
-        }
-        report["theorems"] = {name: verdict_to_dict(v) for name, v in verdicts.items()}
-    return report
-
-
-def run_report_csv(report: dict) -> str:
-    """Flat CSV rendering of a run report (checks become comments)."""
-    buf = io.StringIO()
-    buf.write(f"# scenario: {report['scenario']}\n")
-    buf.write(f"# tolerance: {fmt(report['tolerance'])}\n")
-    for name, entry in report.get("checks", {}).items():
-        buf.write(f"# check {name}: residual {fmt(entry['residual'])} held {entry['held']}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["outcome", "probability", "before", "after", "delta", "weak_value_imag"])
-    for entry in report["outcomes"]:
-        if "error" in entry:
-            buf.write(f"# outcome {entry['outcome']}: {entry['error']} (p={fmt(entry['probability'])})\n")
-            continue
-        writer.writerow(
-            [
-                entry["outcome"],
-                fmt(entry["probability"]),
-                fmt(entry["before"]),
-                fmt(entry["after"]),
-                fmt(entry["delta"]),
-                fmt(entry["weak_value_imag"]),
-            ]
-        )
-    return buf.getvalue()
-
-
 def _effective_tol(args, scenario: Scenario) -> float:
     return args.tol if args.tol is not None else scenario.tolerance
 
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    tol = _effective_tol(args, scenario)
-    report = run_report(scenario, tol)
-    if args.format == "csv":
-        sys.stdout.write(run_report_csv(report))
-    else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    report = run_report(scenario, _effective_tol(args, scenario))
+    sys.stdout.write(run_report_csv(report) if args.format == "csv" else to_json(report))
     return EXIT_OK
 
 
@@ -263,19 +69,15 @@ def cmd_sweep(args) -> int:
     if steps * outcomes > MAX_SWEEP_ROWS:
         raise ScenarioError("sweep.steps", f"{steps} points × {outcomes} outcomes exceed {MAX_SWEEP_ROWS} rows")
     records, errors = sweep_records(scenario, SweepSpec(start, stop, steps).grid())
-    if args.format == "json":
-        sys.stdout.write(sweep_to_json(records, errors))
-    else:
-        sys.stdout.write(sweep_to_csv(records, errors))
+    sys.stdout.write(render_sweep(records, errors, args.format))
     return EXIT_OK
 
 
 def cmd_fig1(args) -> int:
     scenario = load_scenario(fig1_scenario_path())
     records, errors = sweep_records(scenario, scenario.sweep.grid())
-    text = sweep_to_json(records, errors) if args.format == "json" else sweep_to_csv(records, errors)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(render_sweep(records, errors, args.format))
     if not args.quiet:
         print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
@@ -283,33 +85,9 @@ def cmd_fig1(args) -> int:
 
 def cmd_theorems(args) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.conserved is None:
-        raise ScenarioError("conserved", "theorem checks need a conserved quantity")
-    tol = _effective_tol(args, scenario)
-    state = scenario.system_state()
-    verdicts = verify_theorems(scenario.model, state, scenario.observable, scenario.conserved, tol)
-    if args.format == "json":
-        payload = {name: verdict_to_dict(v) for name, v in verdicts.items()}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    elif not args.quiet:
-        for name, verdict in verdicts.items():
-            for hyp, residual in verdict.hypotheses.items():
-                state_word = "held" if verdict.hypotheses_held[hyp] else "broken"
-                print(f"{name} hypothesis {hyp}: residual {residual:.3e} (tolerance {tol:.3e}, {state_word})")
-            for eq, residual in verdict.equalities.items():
-                claim_word = "claimed" if verdict.equality_claimed(eq) else "not claimed"
-                state_word = "held" if verdict.equalities_held[eq] else "broken"
-                print(f"{name} equality {eq}: residual {residual:.3e} (tolerance {tol:.3e}, {claim_word}, {state_word})")
-            if verdict.all_hypotheses_hold:
-                summary = "hypotheses satisfied; " + (
-                    "equalities hold" if verdict.all_equalities_hold else "EQUALITY FAILED"
-                )
-            else:
-                summary = "hypothesis not satisfied" + (
-                    "" if verdict.claimed_equalities_hold else "; CLAIMED EQUALITY FAILED"
-                )
-            print(f"{name}: {summary}")
-
+    verdicts = theorem_verdicts(scenario, _effective_tol(args, scenario))
+    if args.format == "json" or not args.quiet:
+        sys.stdout.write(render_theorems(verdicts, args.format))
     if args.require is not None:
         required = verdicts[args.require]
         if not (required.all_hypotheses_hold and required.all_equalities_hold):

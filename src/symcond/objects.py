@@ -1,8 +1,10 @@
 """Validated domain objects: states, observables, pointers, effects, models.
 
 Constructors only enforce structural consistency (shapes, matching label
-counts); the physics invariants are checked separately by :func:`validate`,
-which reports the first violation instead of raising. That split lets the
+counts); the physics invariants of states, observables, pointers and models
+are checked separately by :func:`validate`, which reports the first
+violation instead of raising (an effect set, derived from a model by
+``induced_povm``, has none registered). That split lets the
 command-line layer construct objects from untrusted input and turn reports
 into clean exit codes, and lets tests build deliberately broken objects.
 """
@@ -282,7 +284,9 @@ def _check_level_family(table: np.ndarray, tol: float) -> Violation | None:
 
 
 def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
-    """Report the first violated invariant of a domain object, or None.
+    """Report the first violated invariant of a state, observable, pointer
+    or model, or None; any other object, an ``EffectSet`` among them,
+    raises ``TypeError``.
 
     PSD checks use the dedicated ``PSD_TOL`` clamp threshold rather than
     ``tol``, matching how negative round-off eigenvalues are treated
@@ -309,19 +313,6 @@ def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
         return None
     if isinstance(obj, PointerObservable):
         return _check_projector_family(obj, tol)
-    if isinstance(obj, EffectSet):
-        for m in obj.effects:
-            r = frob(m - dagger(m))
-            if not r <= tol:
-                return Violation("hermiticity", r)
-        for m in obj.effects:
-            wmin = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
-            if not wmin >= -PSD_TOL:
-                return Violation("psd", -wmin)
-        r = frob(sum(obj.effects) - np.eye(obj.dim))
-        if not r <= tol:
-            return Violation("completeness", r)
-        return None
     if isinstance(obj, MeasurementModel):
         inner = validate(obj.apparatus_state, tol)
         if inner is not None:

@@ -254,6 +254,9 @@ def _pointer_fields(node, key: str, what: str, path: str) -> tuple[list, list, l
         raise ScenarioError(f"{path}.outcomes", "expected an array of labels")
     if len(set(outcomes)) != len(outcomes):
         raise ScenarioError(f"{path}.outcomes", f"duplicate outcome labels in {tuple(outcomes)}")
+    for label in outcomes:
+        if not label.isprintable():
+            raise ScenarioError(f"{path}.outcomes", f"outcome label {label!r} has a non-printable character")
     if not isinstance(parts, list) or len(parts) != len(outcomes):
         raise ScenarioError(f"{path}.{key}", f"expected one {what} per outcome")
     values = node.get("values")

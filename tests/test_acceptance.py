@@ -30,10 +30,11 @@ from symcond import (
     verify_theorem1,
     verify_theorem2,
 )
-from symcond.cli import main, sweep_records
+from symcond.cli import main
 from symcond.jaynes_cummings import number_operator, number_pointer
 from symcond.linalg import frob
 from symcond.oracles import apply_instrument, blockwise_conditional_values
+from symcond.report import sweep_records
 from symcond.sampling import (
     random_density,
     random_diagonal_density,

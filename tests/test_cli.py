@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from symcond import (
+    P_FLOOR,
     ConservedQuantity,
     ObservableOp,
     fig1_scenario_path,
@@ -21,12 +22,10 @@ from symcond.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
-    SweepRecord,
     main,
-    run_report,
-    sweep_records,
 )
 from symcond.oracles import selftest_checks
+from symcond.report import SweepRecord, run_report, sweep_records
 from symcond.sampling import (
     random_conserving_unitary,
     random_density,
@@ -354,7 +353,7 @@ def test_jaynes_cummings_size_is_bounded_before_building(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, max_compiles", [(["run", FIG1], 2), (["theorems", FIG1], 2)])
 def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, capsys):
-    import symcond.cli
+    import symcond.report
     import symcond.symmetry
 
     counts = {"compile": 0, "traces": 0, "conservation": 0, "yanase": 0, "symmetric": 0}
@@ -375,14 +374,14 @@ def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, ca
 
         return wrapper
 
-    monkeypatch.setattr(symcond.cli, "CompiledModel", CountingModel)
+    monkeypatch.setattr(symcond.report, "CompiledModel", CountingModel)
     monkeypatch.setattr(symcond.symmetry, "CompiledModel", CountingModel)
     monkeypatch.setattr(symcond.symmetry, "check_conservation", counting("conservation", symcond.symmetry.check_conservation))
     monkeypatch.setattr(symcond.symmetry, "check_yanase", counting("yanase", symcond.symmetry.check_yanase))
     symmetric = counting("symmetric", symcond.symmetry.check_symmetric_product_state)
     monkeypatch.setattr(symcond.symmetry, "check_symmetric_product_state", symmetric)
-    # Counted too if the CLI binds the residual under its own name.
-    monkeypatch.setattr(symcond.cli, "check_symmetric_product_state", symmetric, raising=False)
+    # Counted too if the report binds the residual under its own name.
+    monkeypatch.setattr(symcond.report, "check_symmetric_product_state", symmetric, raising=False)
     main(command)
     capsys.readouterr()
     assert counts["compile"] <= max_compiles
@@ -675,6 +674,104 @@ def test_duplicate_outcome_labels_name_the_outcomes_field(kind, tmp_path, capsys
     rc = main(["run", write_doc(tmp_path, doc)])
     assert rc == EXIT_PARSE
     assert "error: model.pointer.outcomes: duplicate outcome labels in ('+', '+')" in capsys.readouterr().err
+
+
+def zero_outcome_doc():
+    # Both polars at π put both qubits in their ground level, so outcome "+"
+    # is impossible: its p(x) is rounding noise (~4e-33), not above P_FLOOR.
+    doc = fig1_doc()
+    doc["model"]["apparatus_state"]["coherent"]["polar"] = np.pi
+    doc["system_state"]["coherent"]["polar"] = np.pi
+    return doc
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["+\n0.5,+,1,2,3,4", "a\rb", "\x00", "tab\t", "\u2028"],
+    ids=["newline-row", "carriage-return", "nul", "tab", "line-separator"],
+)
+@pytest.mark.parametrize("argv", [["run", "--format", "csv"], ["sweep", "--steps", "2"]], ids=["run-csv", "sweep"])
+def test_non_printable_outcome_labels_name_the_outcomes_field(label, argv, tmp_path, capsys):
+    # A line break in a label written into a "#" comment would start a CSV
+    # data row of the label's choosing; every such label is rejected.
+    doc = zero_outcome_doc()
+    doc["model"]["pointer"]["outcomes"] = [label, "-"]
+    command, *flags = argv
+    assert main([command, write_doc(tmp_path, doc), *flags]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: model.pointer.outcomes: ")
+    assert "non-printable" in captured.err
+
+
+def test_run_reports_a_zero_probability_outcome_as_an_error_entry(tmp_path, capsys):
+    path = write_doc(tmp_path, zero_outcome_doc())
+    assert main(["run", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    bad, good = report["outcomes"]
+    assert set(bad) == {"outcome", "probability", "error"}
+    assert bad["outcome"] == "+" and bad["error"] == "zero-probability outcome"
+    assert 0 < bad["probability"] <= P_FLOOR
+    assert good["outcome"] == "-" and good["probability"] == 1.0
+    # The averages sum only the outcomes above the floor.
+    assert report["averages"] == {"before": good["before"], "after": good["after"]}
+
+    assert main(["run", path, "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert f"# outcome +: zero-probability outcome (p={format(bad['probability'], '.17g')})" in lines
+    rows = [line for line in lines if not line.startswith("#")]
+    assert [row.split(",")[0] for row in rows] == ["outcome", "-"]
+
+
+def test_run_rows_follow_label_order_not_model_order(tmp_path, capsys):
+    doc = fig1_doc()
+    pointer = doc["model"]["pointer"]
+    pointer["outcomes"], pointer["blocks"], pointer["values"] = ["b", "a"], [[1], [0]], [1.0, -1.0]
+    path = write_doc(tmp_path, doc)
+    assert main(["run", path]) == EXIT_OK
+    assert [o["outcome"] for o in json.loads(capsys.readouterr().out)["outcomes"]] == ["a", "b"]
+    assert main(["run", path, "--format", "csv"]) == EXIT_OK
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert [row.split(",")[0] for row in rows] == ["outcome", "a", "b"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep"], "phase sweeps need a conserved quantity for the decohered branch"),
+        (["theorems"], "theorem checks need a conserved quantity"),
+    ],
+)
+def test_sweep_and_theorems_need_a_conserved_quantity(argv, message, tmp_path, capsys):
+    # An explicit model declares no conserved quantity unless the document does.
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(np.eye(4)),
+            "apparatus_state": {"matrix": matrix_to_pairs(np.diag([1.0, 0.0]))},
+            "pointer": {
+                "outcomes": ["a", "b"],
+                "projectors": [matrix_to_pairs(np.diag([1.0, 0.0])), matrix_to_pairs(np.diag([0.0, 1.0]))],
+            },
+        },
+        "system_state": {"coherent": {"polar": 1.0, "phase": 0.0}},
+        "observable": "sigma_z",
+        "sweep": {"parameter": "phase", "from": 0.0, "to": 1.0, "steps": 3},
+    }
+    assert main([*argv, write_doc(tmp_path, doc)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: conserved: {message}\n"
+
+
+def test_theorems_require_fails_when_a_hypothesis_breaks(tmp_path, capsys):
+    # Off phase 0 the state has a coherence the symmetric-state hypothesis forbids.
+    doc = fig1_doc()
+    doc["system_state"]["coherent"]["phase"] = 0.7
+    assert main(["theorems", write_doc(tmp_path, doc), "--require", "theorem2"]) == EXIT_ASSERT
+    captured = capsys.readouterr()
+    assert "theorem2 hypothesis symmetric_state: " in captured.out and "broken" in captured.out
+    assert captured.err == "required theorem2 does not hold\n"
 
 
 def test_selftest_passes_and_is_seeded(capsys, monkeypatch):

@@ -16,7 +16,7 @@ PACKAGE = Path(symcond.__file__).parent
 # and the random instances they run on (sampling) sit beside it, and
 # nothing here may reach them: a broken oracle must never be able to
 # change what the route computes.
-PRODUCTION = ("linalg", "objects", "engine", "symmetry", "jaynes_cummings", "scenario", "__init__")
+PRODUCTION = ("linalg", "objects", "engine", "symmetry", "jaynes_cummings", "scenario", "report", "__init__")
 CHECKS = {"oracles", "sampling"}
 
 
@@ -106,4 +106,15 @@ def test_importing_the_package_leaves_the_oracles_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "symcond.scenario" in loaded
+    assert not loaded & {f"symcond.{name}" for name in CHECKS}
+
+
+def test_importing_the_report_leaves_the_oracles_unloaded():
+    # Tests, demos and the CLI's run/sweep/theorems reach reports through
+    # this module; it must not pull in the selftest's oracles.
+    code = "import sys, symcond.report; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "symcond.report" in loaded
     assert not loaded & {f"symcond.{name}" for name in CHECKS}

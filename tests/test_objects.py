@@ -278,6 +278,12 @@ def test_induced_povm_reproduces_probabilities():
             assert abs(p_instr - p_povm) < 1e-10
 
 
+def test_validate_registers_no_invariants_for_an_effect_set():
+    es = EffectSet(("a",), (np.eye(2, dtype=complex),))
+    with pytest.raises(TypeError, match="no invariants registered for EffectSet"):
+        validate(es)
+
+
 def test_effect_set_lookup_errors():
     es = EffectSet(("a",), (np.eye(2, dtype=complex),))
     with pytest.raises(KeyError, match="unknown outcome"):

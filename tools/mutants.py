@@ -74,6 +74,24 @@ MUTANTS = (
         "    p = np.where(0.0 > p, 0.0, p)\n    return np.where(1.0 < p, 1.0, p)",
         "    return p",
     ),
+    (
+        "sweep_records: flip the sign of the difference",
+        "report",
+        "SweepRecord(phi, labels[i], p[g][i], d, d_dec, d - d_dec)",
+        "SweepRecord(phi, labels[i], p[g][i], d, d_dec, d_dec - d)",
+    ),
+    (
+        "run_report: rows in model order, not sorted by label",
+        "report",
+        "for i in sorted(range(len(labels)), key=labels.__getitem__):",
+        "for i in range(len(labels)):",
+    ),
+    (
+        "run_report_csv: drop the comment of a zero-probability outcome",
+        "report",
+        "            buf.write(f\"# outcome {entry['outcome']}: {entry['error']} (p={fmt(entry['probability'])})\\n\")\n",
+        "",
+    ),
 )
 
 
