@@ -50,11 +50,35 @@ about 2k·n²·d_s + n²·d_a work (n = d_s·d_a; n²·d_a more when B ≠ 1) an
 O(k·n²) memory, instead of 4|X|·n³ for the sandwiches. The sandwiches
 themselves, and the Schrödinger-picture instrument, are the independent
 checks of this route in :mod:`symcond.oracles`.
+
+When U conserves the total excitation exactly, its only nonzero entries
+sit on r + c = s + α, and ``MeasurementModel.band`` holds them as
+Ub[r, c, s] = U[(r, c), (s, r + c − s)]. For a diagonal pointer the
+level blocks then read
+
+    T^a_c[s, t] = Σ_{r,q} a[q,r]·conj(Ub[q,c,s])·Ub[r,c,t]·ϱ[r+c−t, q+c−s],
+
+with ϱ indexed by the offsets r − t and q − s only (a strided view of ϱ,
+zero-padded by d_s − 1 on each side), so no d_a·d_s⁴ gather is formed:
+about 2k·d_a·d_s⁴ work and 2(k+1)·d_a·d_s³ entries of memory (at most
+2(k+1)·n² for d_s ≤ d_a), no n×n temporary. The band view exists only for
+n ≥ ``objects.BAND_MIN_DIM`` = 128 and d_s ≤ d_a. That crossover was
+measured on one core (CPython 3.11, numpy 2.4/OpenBLAS) as the time to
+build and validate a model and compile it and its decohered twin: the
+band route took 0.26–0.32× the dense time at (2, 64), (4, 32), (2, 128),
+(8, 32) and (2, 256), 0.65× at (8, 16), 0.78× at (16, 16), 0.50× at
+(32, 32) and 1.00× at (12, 12), but 1.4–1.8× at every n ≤ 32, and at
+n = 64…121 from 0.37× on narrow shapes to 1.35× on near-square ones
+((8, 8), (10, 10), (11, 11)), whose fixed ~65 µs of extra numpy calls
+is not repaid. A U with any other nonzero (NaN included), a rotated
+pointer, d_s > d_a and smaller n take the dense route above, which
+stays the general path.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .linalg import dagger, ensure_hermitian
 from .objects import DensityState, EffectSet, MeasurementModel, ObservableOp, born_probability
@@ -81,12 +105,27 @@ def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...])
     Returns the (len(operators), |X|, d_s, d_s) stack whose [k, i] entry
     equals ``oracles.dual_instrument(model, operators[k], model.outcomes[i])``,
     built by the level-sum contraction of the module docstring from the
-    pointer's level table, never forming U†(a ⊗ P^x)U: about
-    2k·n²·d_s + n²·d_a work in O(k·n²) memory for k operators.
+    pointer's level table, never forming U†(a ⊗ P^x)U: from U's band
+    (``model.band``) when it has one and the pointer is diagonal, about
+    2k·d_a·d_s⁴ work, else from the dense U, about 2k·n²·d_s + n²·d_a
+    work; O(k·n²) memory either way for k operators.
     """
     ds, da = model.dim_s, model.dim_a
-    n = ds * da
     basis, weights = model.pointer.levels
+    band = model.band if basis is None else None
+    if band is None:
+        t = _dense_levels(model, basis, operators)
+    else:
+        t = _band_levels(band, model.apparatus_state.matrix, operators)
+    return (weights @ t.reshape(da, -1)).reshape(-1, len(operators), ds, ds).transpose(1, 0, 2, 3)
+
+
+def _dense_levels(
+    model: MeasurementModel, basis: np.ndarray | None, operators: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The (d_a, k, d_s, d_s) stack T^a_c from the dense U, rotated to B's basis."""
+    ds, da = model.dim_s, model.dim_a
+    n = ds * da
     u = model.unitary
     if basis is not None:
         u = (dagger(basis) @ u.reshape(ds, da, n)).reshape(n, n)  # rows (r, B-level)
@@ -96,8 +135,32 @@ def branch_operators(model: MeasurementModel, operators: tuple[np.ndarray, ...])
     v = (a_t @ u.conj().reshape(ds, da * n)).reshape(k, ds, da, ds, da)  # [k, r, c, s, α]
     left = v.transpose(2, 0, 3, 1, 4).reshape(da, k * ds, n)  # [c, (k, s), (r, α)]
     right = g.transpose(1, 2, 0, 3).reshape(da, ds, n)  # [c, t, (r, α)]
-    t = (left @ right.transpose(0, 2, 1)).reshape(da, k * ds * ds)  # T^a_c[s, t]
-    return (weights @ t).reshape(-1, k, ds, ds).transpose(1, 0, 2, 3)
+    return left @ right.transpose(0, 2, 1)  # T^a_c[s, t]
+
+
+def _band_levels(band: np.ndarray, rho: np.ndarray, operators: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The (d_a, k, d_s, d_s) stack T^a_c from U's band Ub:
+
+        T^a_c[s, t] = Σ_{r,q} a[q,r]·conj(Ub[q,c,s])·Ub[r,c,t]·ϱ[r+c−t, q+c−s].
+
+    ϱ is read through the offsets r − t and q − s, never gathered into a
+    d_a·d_s⁴ array: E[r,c,t,j] = Ub[r,c,t]·ϱ[r+c−t, c+j−d_s+1] multiplies a
+    strided view of ϱ (zero-padded by d_s − 1 on each side), one product
+    takes F = a·E over r for every operator, and the sum over q reads F at
+    j = q − s + d_s − 1 through a second strided view.
+    """
+    ds, da, _ = band.shape
+    k, w = len(operators), 2 * ds - 1
+    padded = np.zeros((da + w - 1,) * 2, dtype=complex)
+    padded[ds - 1 : ds - 1 + da, ds - 1 : ds - 1 + da] = rho
+    s0, s1 = padded.strides
+    windows = as_strided(padded[ds - 1 :], (ds, da, ds, w), (s0, s0 + s1, -s0, s1), writeable=False)
+    e = band[..., None] * windows  # [r, c, t, j]
+    f = (np.stack(operators).reshape(k * ds, ds) @ e.reshape(ds, -1)).reshape(k, ds, da, ds, w)
+    del e  # F[k, q, c, t, j] = Σ_r a_k[q, r]·E[r, c, t, j] holds all that is needed
+    f0, f1, f2, f3, f4 = f.strides
+    g = as_strided(f[..., ds - 1 :], (k, ds, da, ds, ds), (f0, f1 + f4, f2, f3, -f4), writeable=False)
+    return np.einsum("qcs,kqcts->ckst", band.conj(), g)  # g[k, q, c, t, s] = F at j = q − s + d_s − 1
 
 
 def induced_povm(model: MeasurementModel) -> EffectSet:
@@ -126,9 +189,10 @@ class CompiledModel:
 
     Built once per (model, observable): for every outcome x it stacks M(x),
     M(x)·O and K(x), the d_s×d_s images of ``oracles.dual_instrument``, with
-    one :func:`branch_operators` call (about 4n²·d_s + n²·d_a work,
-    whatever the number of outcomes); a pointer without a level table
-    (projectors that share no eigenbasis) raises ValueError.
+    one :func:`branch_operators` call (about 4n²·d_s + n²·d_a work, or
+    4·d_a·d_s⁴ from U's band, whatever the number of outcomes); a
+    pointer without a level table (projectors that share no eigenbasis)
+    raises ValueError.
     :meth:`traces`, the kernel, then costs one stacked d_s×d_s product
     per state, whatever the apparatus dimension, and takes a
     (G, d_s, d_s) stack of states as readily as one state;

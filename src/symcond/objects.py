@@ -178,6 +178,13 @@ class EffectSet:
             raise KeyError(f"unknown outcome label {outcome!r}; have {self.outcomes}") from None
 
 
+# Smallest n = d_s·d_a served by MeasurementModel.band. Below it the band
+# routes' fixed cost (~65 µs of extra numpy calls per model) is not repaid
+# on every shape: near-square models up to n = 121 run slower on the band
+# (see the engine module docstring for the measurement).
+BAND_MIN_DIM = 128
+
+
 @dataclass
 class MeasurementModel:
     """Apparatus state + premeasurement unitary + pointer readout.
@@ -212,6 +219,32 @@ class MeasurementModel:
     @property
     def outcomes(self) -> tuple[str, ...]:
         return self.pointer.outcomes
+
+    @cached_property
+    def band(self) -> np.ndarray | None:
+        """U's excitation band, the (d_s, d_a, d_s) array
+        Ub[r, c, s] = U[(r, c), (s, r + c − s)] (0 where r + c − s is not
+        an apparatus level), or None.
+
+        It exists when every nonzero entry of U lies on r + c = s + α, as
+        for a unitary conserving N_S ⊗ 1 + 1 ⊗ N_A exactly: the JC closed
+        form and any explicit unitary built sector by sector. A NaN off
+        the band is a nonzero off the band. It is also None for d_s > d_a
+        and below n = ``BAND_MIN_DIM``, where the band routes do not pay.
+        Computed once per model; the compile and :func:`validate` read it.
+        """
+        ds, da = self.dim_s, self.dim_a
+        n = ds * da
+        if n < BAND_MIN_DIM or ds > da:
+            return None
+        r, c, s = np.arange(ds)[:, None, None], np.arange(da)[:, None], np.arange(ds)
+        alpha = r + c - s
+        inside = (alpha >= 0) & (alpha < da)
+        band = np.where(inside, self.unitary.ravel().take((r * da + c) * n + s * da + alpha.clip(0, da - 1)), 0)
+        # Nonzero real and imaginary parts, counted apart (several times
+        # faster than counting complex entries); NaN != 0 counts.
+        on_band = np.count_nonzero(band.view(float) != 0)
+        return band if on_band == np.count_nonzero(self.unitary.view(float) != 0) else None
 
 
 @dataclass(frozen=True)
@@ -283,6 +316,28 @@ def _check_level_family(table: np.ndarray, tol: float) -> Violation | None:
     return None
 
 
+def _unitarity_residual(model: MeasurementModel) -> float:
+    """‖U†U − 1‖_F, from the sector blocks when U has a band view.
+
+    U†U is then block-diagonal over the sectors l = r + c, and the block
+    of sector l is U_l†U_l with U_l[r, s] = Ub[r, l − r, s]: the residual
+    is the root-sum-square of U_l†U_l − 1 over the d_s×d_s blocks (zero
+    rows and columns pad the levels a sector lacks), about d_a·d_s³ work
+    instead of n³. Overflow becomes a non-finite residual, not a warning.
+    """
+    band = model.band
+    with np.errstate(over="ignore", invalid="ignore"):
+        if band is None:
+            u = model.unitary
+            return frob(dagger(u) @ u - np.eye(len(u)))
+        ds, da, _ = band.shape
+        c = np.arange(ds + da - 1)[:, None] - np.arange(ds)  # [l, r] = l − r
+        inside = (c >= 0) & (c < da)
+        blocks = np.where(inside[:, :, None], band[np.arange(ds), c.clip(0, da - 1)], 0)
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks  # U_l†U_l, sector by sector
+        return frob(gram - inside[:, None, :] * np.eye(ds))
+
+
 def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
     """Report the first violated invariant of a state, observable, pointer
     or model, or None; any other object, an ``EffectSet`` among them,
@@ -290,9 +345,12 @@ def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
 
     PSD checks use the dedicated ``PSD_TOL`` clamp threshold rather than
     ``tol``, matching how negative round-off eigenvalues are treated
-    everywhere else in the package. Every test is written so that a NaN
-    residual fails it: an overflowed or NaN entry is a violation, never a
-    pass.
+    everywhere else in the package. A model's unitarity residual
+    ‖U†U − 1‖_F comes from the d_s×d_s sector blocks of
+    ``MeasurementModel.band`` when U has one, else from the dense n³
+    product. Every test is written so that a NaN residual fails it: an
+    overflowed or NaN entry is a violation, never a pass, and its
+    overflow raises no floating-point warning.
     """
     if isinstance(obj, DensityState):
         m = obj.matrix
@@ -317,8 +375,7 @@ def validate(obj, tol: float = DEFAULT_TOL) -> Violation | None:
         inner = validate(obj.apparatus_state, tol)
         if inner is not None:
             return Violation(f"apparatus_state.{inner.invariant}", inner.residual)
-        n = obj.unitary.shape[0]
-        r = frob(dagger(obj.unitary) @ obj.unitary - np.eye(n))
+        r = _unitarity_residual(obj)
         if not r <= tol:
             return Violation("unitarity", r)
         inner = validate(obj.pointer, tol)

@@ -162,6 +162,47 @@ def test_overflowing_unitary_is_invariant_violation(tmp_path, capsys):
     assert "error: model: invariant 'unitarity' violated" in captured.err
 
 
+@pytest.mark.parametrize("banded", [False, True])
+def test_overflowing_unitary_prints_only_the_error_line(tmp_path, banded):
+    # Run as its own process, outside pytest's warning capture: an entry
+    # of 1e308 overflows U†U (dense route) or a sector block (band route,
+    # a JC unitary at n = 128), and stderr carries the one error line,
+    # no RuntimeWarning.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from symcond.jaynes_cummings import JCModelSpec, jc_unitary_closed_form
+
+    dim_a = 64 if banded else 2
+    u = jc_unitary_closed_form(JCModelSpec(2, dim_a, theta=0.7)) if banded else np.eye(4, dtype=complex)
+    u[5 if banded else 0, 5 if banded else 1] = 1e308
+
+    def diag(*d):
+        return matrix_to_pairs(np.diag(d))
+
+    half = [1.0] * (dim_a // 2) + [0.0] * (dim_a // 2)
+    doc = {
+        "model": {
+            "kind": "explicit",
+            "unitary": matrix_to_pairs(u),
+            "apparatus_state": {"matrix": diag(*[1.0 / dim_a] * dim_a)},
+            "pointer": {"outcomes": ["a", "b"], "projectors": [diag(*half), diag(*half[::-1])]},
+        },
+        "system_state": {"matrix": diag(0.5, 0.5)},
+        "observable": "sigma_z",
+    }
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "symcond", "run", write_doc(tmp_path, doc)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INVARIANT
+    assert proc.stdout == ""
+    assert proc.stderr == "error: model: invariant 'unitarity' violated (residual nan)\n"
+
+
 def test_sweep_with_explicit_grid(capsys):
     rc = main(["sweep", FIG1, "--from", "0", "--to", "3.14159", "--steps", "3", "--format", "json"])
     assert rc == EXIT_OK

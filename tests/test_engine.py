@@ -22,6 +22,9 @@ from symcond import (
     load_scenario,
     weak_value,
 )
+from symcond import engine, objects
+from symcond.jaynes_cummings import JCModelSpec, jc_unitary_closed_form, number_pointer
+from symcond.objects import _unitarity_residual, validate
 from symcond.oracles import apply_instrument, dual_instrument
 from symcond.sampling import random_density, random_model, random_observable, random_unitary
 
@@ -310,6 +313,148 @@ def test_diagonal_compile_memory_is_quadratic_in_n():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * n * n * 16
+
+
+def sector_unitary(dim_s: int, dim_a: int, rng: np.random.Generator) -> np.ndarray:
+    """exp(−iH) for a random Hermitian H built sector by sector of the total
+    excitation r + c, so every entry off those sectors is exactly 0.0."""
+    total = np.add.outer(np.arange(dim_s), np.arange(dim_a)).ravel()
+    u = np.zeros((total.size, total.size), dtype=complex)
+    for sector in range(dim_s + dim_a - 1):
+        idx = np.flatnonzero(total == sector)
+        g = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        w, v = np.linalg.eigh(g + g.conj().T)
+        u[np.ix_(idx, idx)] = (v * np.exp(-1j * w)) @ v.conj().T
+    return u
+
+
+def band_and_dense_models(monkeypatch, apparatus, unitary, pointer):
+    """The same model twice, built on each side of the band crossover (the
+    band view is cached on first read, so each is read while patched)."""
+    models = []
+    for crossover in (0, 10**9):
+        monkeypatch.setattr(objects, "BAND_MIN_DIM", crossover)
+        models.append(MeasurementModel(apparatus, unitary, pointer))
+        models[-1].band
+    monkeypatch.undo()
+    banded, dense = models
+    assert banded.band is not None and dense.band is None
+    return banded, dense
+
+
+BAND_CASES = [("jc", 2, d) for d in (2, 3, 5, 8, 16, 33, 64)] + [
+    ("sectors", s, a) for s, a in ((2, 2), (2, 7), (3, 3), (3, 8), (4, 4), (4, 9))
+]
+
+
+@pytest.mark.parametrize("kind, dim_s, dim_a", BAND_CASES)
+def test_band_route_matches_dual_instrument_and_dense_route(monkeypatch, kind, dim_s, dim_a):
+    # The band contraction against the Heisenberg sandwich and the dense
+    # compile, for a non-Hermitian operator, a complex non-Hermitian
+    # apparatus state and a pointer weight neither 0 nor 1.
+    rng = np.random.default_rng(700 + 10 * dim_s + dim_a)
+    if kind == "jc":
+        unitary = jc_unitary_closed_form(JCModelSpec(dim_s, dim_a, theta=float(rng.uniform(0.3, 2.5))))
+    else:
+        unitary = sector_unitary(dim_s, dim_a, rng)
+    levels = np.array_split(np.arange(dim_a), min(dim_a, 3))
+    diagonals = np.zeros((len(levels), dim_a), dtype=complex)
+    for i, block in enumerate(levels):
+        diagonals[i, block] = 1.0
+    diagonals[-1, -1] = 0.3 - 0.4j
+    pointer = PointerObservable(tuple(f"x{i}" for i in range(len(levels))), tuple(map(np.diag, diagonals)))
+    xi = rng.normal(size=(dim_a, dim_a)) + 1j * rng.normal(size=(dim_a, dim_a))
+    banded, dense = band_and_dense_models(monkeypatch, DensityState(xi / dim_a), unitary, pointer)
+    a = rng.normal(size=(dim_s, dim_s)) + 1j * rng.normal(size=(dim_s, dim_s))
+    operators = (np.eye(dim_s), a)
+    got = engine.branch_operators(banded, operators)
+    want = np.array([[dual_instrument(banded, op, x) for x in banded.outcomes] for op in operators])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
+    assert np.abs(got - engine.branch_operators(dense, operators)).max() < 1e-13
+    assert _unitarity_residual(banded) == pytest.approx(_unitarity_residual(dense), abs=1e-14)
+
+
+@pytest.mark.parametrize("dim_s, dim_a", [(2, 64), (3, 8), (4, 4)])
+def test_band_unitarity_residual_equals_dense_on_a_non_unitary(monkeypatch, dim_s, dim_a):
+    # Scaling one column and mixing two sectors' worth of rows within the
+    # band gives an O(1) residual, so a dropped term cannot hide in round-off.
+    rng = np.random.default_rng(800 + dim_s + dim_a)
+    u = sector_unitary(dim_s, dim_a, rng)
+    u[:, 1] *= 1.5
+    u[u != 0] += 0.1j
+    xi = DensityState(np.eye(dim_a) / dim_a)
+    banded, dense = band_and_dense_models(monkeypatch, xi, u, number_pointer(dim_a))
+    want = _unitarity_residual(dense)
+    assert want > 0.5
+    assert _unitarity_residual(banded) == pytest.approx(want, rel=1e-13)
+    v = validate(banded)
+    assert v.invariant == "unitarity" and v.residual == pytest.approx(want, rel=1e-13)
+
+
+def test_band_view_routing(monkeypatch):
+    rng = np.random.default_rng(47)
+    xi = DensityState(random_density(64, rng).matrix)
+    u = jc_unitary_closed_form(JCModelSpec(2, 64, theta=0.9))
+    # The shape of jc_wide-style models is on the band side of the crossover.
+    assert MeasurementModel(xi, u, number_pointer(64)).band is not None
+    # One off-band entry of 1e-300, or a NaN off the band, leaves no band view.
+    for value in (1e-300, np.nan, 1e-300j):
+        off = u.copy()
+        off[5, 6] = value
+        assert MeasurementModel(xi, off, number_pointer(64)).band is None
+    # A NaN on the band keeps the view, and is a unitarity violation, never a pass.
+    for index in ((0, 0), (5, 64 + 4), (127, 127)):
+        bad = u.copy()
+        bad[index] = np.nan
+        model = MeasurementModel(xi, bad, number_pointer(64))
+        assert model.band is not None
+        v = validate(model)
+        assert v.invariant == "unitarity" and np.isnan(v.residual)
+    # Below the crossover, and for d_s > d_a, the dense route serves.
+    small = jc_unitary_closed_form(JCModelSpec(2, 8, theta=0.9))
+    assert MeasurementModel(DensityState(np.eye(8) / 8), small, number_pointer(8)).band is None
+    monkeypatch.setattr(objects, "BAND_MIN_DIM", 0)
+    assert MeasurementModel(DensityState(np.eye(2) / 2), sector_unitary(3, 2, rng), number_pointer(2)).band is None
+
+
+def test_non_diagonal_pointer_takes_the_dense_route(monkeypatch):
+    rng = np.random.default_rng(48)
+    calls = []
+    band_levels = engine._band_levels
+    monkeypatch.setattr(engine, "_band_levels", lambda *args: calls.append(1) or band_levels(*args))
+    monkeypatch.setattr(objects, "BAND_MIN_DIM", 0)
+    w = random_unitary(4, rng)
+    rotated = PointerObservable(("a", "b"), (w[:, :2] @ w[:, :2].conj().T, w[:, 2:] @ w[:, 2:].conj().T))
+    for pointer, routed in ((rotated, 0), (number_pointer(4), 1)):
+        model = MeasurementModel(random_density(4, rng), sector_unitary(3, 4, rng), pointer)
+        assert model.band is not None
+        obs = random_observable(3, rng)
+        got = CompiledModel(model, obs)._operators[-len(model.outcomes) :]
+        want = np.stack([dual_instrument(model, obs.matrix, x) for x in model.outcomes])
+        assert np.abs(got - want).max() < 1e-12
+        assert len(calls) == routed
+        calls.clear()
+
+
+def test_band_compile_memory_is_quadratic_in_n(monkeypatch):
+    # A square banded model, where the band contraction's d_a·d_s⁴ terms
+    # are largest against n²: a gather of ϱ over all of them would be
+    # 8 n² entries per operator; the compile's peak stays below that.
+    monkeypatch.setattr(objects, "BAND_MIN_DIM", 0)
+    rng = np.random.default_rng(49)
+    dim_s = dim_a = 8
+    n = dim_s * dim_a
+    model = MeasurementModel(random_density(dim_a, rng), sector_unitary(dim_s, dim_a, rng), number_pointer(dim_a))
+    assert model.band is not None
+    obs = random_observable(dim_s, rng)
+    tracemalloc.start()
+    try:
+        CompiledModel(model, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n * 16
 
 
 def test_conditional_change_identity_unitary_is_zero():

@@ -244,6 +244,44 @@ def test_check_conservation_swap_spectrum_mismatch():
     assert check_conservation(model, skewed) > 0.1
 
 
+def test_check_conservation_diagonal_pair_is_read_entry_by_entry(monkeypatch):
+    # Diagonal L_S and L_A: (L_j − L_i)·U_ij against the dense commutator,
+    # on non-conserving unitaries and non-integer, degenerate levels, with
+    # no n×n product and no kron of the total operator.
+    rng = np.random.default_rng(38)
+    pairs = [
+        (number_operator(3), number_operator(4)),
+        (ObservableOp(np.diag([0.5, -1.25, 0.5])), ObservableOp(np.diag([2.0, 0.0, 0.1, 2.0]))),
+    ]
+    for ls, la in pairs:
+        q = ConservedQuantity(ls, la)
+        total = q.total_operator()
+        unitaries = [random_unitary(12, rng), random_conserving_unitary(q, rng)]
+        dense = [frob(u @ total - total @ u) for u in unitaries]
+        monkeypatch.setattr(ConservedQuantity, "total_operator", None)
+        for u, want in zip(unitaries, dense):
+            model = MeasurementModel(random_density(4, rng), u, number_pointer(4))
+            assert check_conservation(model, q) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            for value in (np.nan, np.inf, -np.inf * 1j):
+                for index in ((0, 0), (2, 7)):
+                    broken = u.copy()
+                    broken[index] = value
+                    broken_model = MeasurementModel(model.apparatus_state, broken, model.pointer)
+                    assert np.isnan(check_conservation(broken_model, q))
+        monkeypatch.undo()
+
+
+def test_check_conservation_non_diagonal_pair_takes_the_dense_route():
+    rng = np.random.default_rng(39)
+    q = ConservedQuantity(ObservableOp(SIGMA_X), ObservableOp(np.diag([0.0, 1.0, 2.0])))
+    total = q.total_operator()
+    u = random_unitary(6, rng)
+    model = MeasurementModel(random_density(3, rng), u, number_pointer(3))
+    assert check_conservation(model, q) == frob(u @ total - total @ u)
+    conserving = MeasurementModel(model.apparatus_state, random_conserving_unitary(q, rng), model.pointer)
+    assert check_conservation(conserving, q) < 1e-12
+
+
 def test_check_conservation_dimension_mismatch():
     model = MeasurementModel(
         DensityState(np.diag([0.4, 0.6]).astype(complex)),

@@ -39,6 +39,18 @@ MUTANTS = (
         "np.stack(operators).reshape(k * ds, ds)",
     ),
     (
+        "_band_levels: drop the conj in the band contraction",
+        "engine",
+        'np.einsum("qcs,kqcts->ckst", band.conj(), g)',
+        'np.einsum("qcs,kqcts->ckst", band, g)',
+    ),
+    (
+        "_unitarity_residual: drop the - 1 from the sector blocks",
+        "objects",
+        "return frob(gram - inside[:, None, :] * np.eye(ds))",
+        "return frob(gram)",
+    ),
+    (
         "_check_level_family: report the last failing pair",
         "objects",
         "k = pairs[0]",
