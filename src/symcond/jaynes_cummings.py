@@ -59,37 +59,26 @@ def jc_hamiltonian(dim_s: int, dim_a: int) -> ObservableOp:
 
 
 def number_pointer(
-    dim_a: int,
-    partition: list[tuple[str, list[int]]] | None = None,
-    values: list[float] | None = None,
+    dim_a: int, partition: list[tuple[str, list[int]]] | None = None
 ) -> PointerObservable:
-    """Pointer with number-diagonal projectors.
+    """Pointer with number-diagonal projectors, held as its 0/1 level table.
 
     By default one outcome per number state, labelled by its excitation
     count. ``partition`` coarse-grains instead: each (label, levels) entry
     becomes the projector onto those number states. Every level must be
-    used exactly once.
+    used exactly once. Row x of the (|X|, dim_a) table is 1 on the levels
+    of outcome x; no dim_a×dim_a matrix is built.
     """
     if partition is None:
         partition = [(str(k), [k]) for k in range(dim_a)]
-        if values is None:
-            values = [float(k) for k in range(dim_a)]
     used = [k for _, levels in partition for k in levels]
     if sorted(used) != list(range(dim_a)):
         raise ValueError(
             f"partition {partition!r} does not cover each of the {dim_a} levels exactly once"
         )
-    projectors = []
-    for _, levels in partition:
-        p = np.zeros((dim_a, dim_a), dtype=complex)
-        for k in levels:
-            p[k, k] = 1.0
-        projectors.append(p)
-    return PointerObservable(
-        outcomes=tuple(label for label, _ in partition),
-        projectors=tuple(projectors),
-        values=tuple(values) if values is not None else None,
-    )
+    table = np.zeros((len(partition), dim_a), dtype=complex)
+    table[[x for x, (_, levels) in enumerate(partition) for _ in levels], used] = 1.0
+    return PointerObservable.from_table([label for label, _ in partition], table)
 
 
 @dataclass

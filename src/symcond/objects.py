@@ -1,12 +1,14 @@
 """Validated domain objects: states, observables, pointers, effects, models.
 
 Constructors only enforce structural consistency (shapes, matching label
-counts); the physics invariants of states, observables, pointers and models
-are checked separately by :func:`validate`, which reports the first
-violation instead of raising (an effect set, derived from a model by
-``induced_povm``, has none registered). That split lets the
-command-line layer construct objects from untrusted input and turn reports
-into clean exit codes, and lets tests build deliberately broken objects.
+counts); a pointer diagonal in the apparatus basis is held as its level
+table, with no d_a×d_a matrix per outcome. The physics invariants of
+states, observables, pointers and models are checked separately by
+:func:`validate`, which reports the first violation instead of raising
+(an effect set, derived from a model by ``induced_povm``, has none
+registered). That split lets the command-line layer construct objects
+from untrusted input and turn reports into clean exit codes, and lets
+tests build deliberately broken objects.
 """
 
 from __future__ import annotations
@@ -57,57 +59,61 @@ class ObservableOp:
         return self.matrix.shape[0]
 
 
-@dataclass
+def _labels(outcomes, count: int, what: str) -> tuple[str, ...]:
+    """Outcome labels as strings, one per ``what`` and all distinct."""
+    labels = tuple(str(x) for x in outcomes)
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} outcome labels for {count} {what}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate outcome labels in {labels}")
+    return labels
+
+
 class PointerObservable:
     """Projective pointer readout: outcome labels with orthogonal projectors.
 
-    Outcome labels are opaque strings. ``values`` optionally attaches a real
-    eigenvalue to each outcome for :meth:`as_operator` (Σ_x x·P^x); no
-    check or route reads them. Every route reads the pointer as its
+    Outcome labels are opaque strings. Every route reads the pointer as its
     :attr:`levels` table, summing over each outcome's levels instead of
     multiplying d_a×d_a projectors. A pointer is *diagonal* when every
     P^x = Σ_c w_xc |c⟩⟨c| in the apparatus basis, as any pointer compatible
-    with a non-degenerate L_A = N_A is; :attr:`diagonals` then holds w.
+    with a non-degenerate L_A = N_A is. A diagonal pointer is stored as its
+    (|X|, d_a) table w alone, :attr:`diagonals` (None for any other
+    pointer): :meth:`from_table` takes it directly, and an all-diagonal
+    family given to the constructor keeps only its diagonals. Only a
+    non-diagonal family keeps its matrices. The weights are taken as they
+    are: they need not be real or 0/1, so an invalid diagonal pointer
+    still gets a table, and :func:`validate` reads its defects from it.
     """
 
-    outcomes: tuple[str, ...]
-    projectors: tuple[np.ndarray, ...]
-    values: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        self.outcomes = tuple(str(x) for x in self.outcomes)
-        self.projectors = tuple(as_matrix(p) for p in self.projectors)
-        if len(self.outcomes) != len(self.projectors):
-            raise ValueError(
-                f"{len(self.outcomes)} outcome labels for {len(self.projectors)} projectors"
-            )
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError(f"duplicate outcome labels in {self.outcomes}")
-        dims = {p.shape for p in self.projectors}
+    def __init__(self, outcomes, projectors) -> None:
+        matrices = tuple(as_matrix(p) for p in projectors)
+        self.outcomes = _labels(outcomes, len(matrices), "projectors")
+        dims = {p.shape for p in matrices}
         if len(dims) != 1 or any(s[0] != s[1] for s in dims):
             raise ValueError(f"projectors must share one square shape, got {dims}")
-        if self.values is not None:
-            self.values = tuple(float(v) for v in self.values)
-            if len(self.values) != len(self.outcomes):
-                raise ValueError("values length does not match outcomes")
+        table = np.array([p.diagonal() for p in matrices])
+        # Diagonal when no off-diagonal entry is nonzero (NaN counts), tested once.
+        diagonal = sum(map(np.count_nonzero, matrices)) == np.count_nonzero(table)
+        self.diagonals, self._matrices = (table, None) if diagonal else (None, matrices)
+
+    @classmethod
+    def from_table(cls, outcomes, weights) -> PointerObservable:
+        """The diagonal pointer P^x = diag(w_x) of the (|X|, d_a) table w, with no d_a×d_a matrix."""
+        pointer = cls.__new__(cls)
+        pointer.diagonals, pointer._matrices = np.array(weights, dtype=complex), None
+        if pointer.diagonals.ndim != 2 or not pointer.diagonals.size:
+            raise ValueError(f"expected a non-empty (outcomes, levels) table, got shape {pointer.diagonals.shape}")
+        pointer.outcomes = _labels(outcomes, len(pointer.diagonals), "table rows")
+        return pointer
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.diagonals.shape[1] if self._matrices is None else self._matrices[0].shape[0]
 
-    @cached_property
-    def diagonals(self) -> np.ndarray | None:
-        """The (|X|, d_a) table whose row x is the diagonal of P^x, or None
-        when some projector has a nonzero (or NaN) off-diagonal entry.
-
-        Computed once per pointer. The weights are taken as they are: they
-        need not be real or 0/1, so an invalid diagonal pointer still gets
-        a table, and :func:`validate` reads its defects from it.
-        """
-        table = np.array([p.diagonal() for p in self.projectors])
-        if sum(map(np.count_nonzero, self.projectors)) != np.count_nonzero(table):
-            return None
-        return table
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Every P^x as a d_a×d_a matrix, built on request for a diagonal pointer."""
+        return tuple(map(np.diag, self.diagonals)) if self._matrices is None else self._matrices
 
     @cached_property
     def levels(self) -> tuple[np.ndarray | None, np.ndarray]:
@@ -127,7 +133,7 @@ class PointerObservable:
     @cached_property
     def _rotation(self) -> tuple[np.ndarray, np.ndarray, float]:
         # B, w and ‖off-diagonal part of B†P^xB‖, for levels and validate.
-        stack, d = np.array(self.projectors), self.dim
+        stack, d = np.array(self._matrices), self.dim
         _, basis = np.linalg.eigh(np.arange(1.0, len(stack) + 1) @ stack.transpose(1, 0, 2))
         rotated = (dagger(basis) @ stack @ basis).reshape(len(stack), d * d)
         table = rotated[:, :: d + 1].copy()  # each row's diagonal, flattened
@@ -136,18 +142,10 @@ class PointerObservable:
 
     def projector(self, outcome: str) -> np.ndarray:
         try:
-            return self.projectors[self.outcomes.index(outcome)]
+            x = self.outcomes.index(outcome)
         except ValueError:
             raise KeyError(f"unknown outcome label {outcome!r}; have {self.outcomes}") from None
-
-    def as_operator(self) -> np.ndarray:
-        """Assemble Σ_x x·P^x; requires outcome values."""
-        if self.values is None:
-            raise ValueError("pointer has label-only outcomes, no eigenvalues attached")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for val, proj in zip(self.values, self.projectors):
-            out += val * proj
-        return out
+        return np.diag(self.diagonals[x]) if self._matrices is None else self._matrices[x]
 
 
 @dataclass
@@ -158,14 +156,8 @@ class EffectSet:
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        self.outcomes = tuple(str(x) for x in self.outcomes)
         self.effects = tuple(as_matrix(m) for m in self.effects)
-        if len(self.outcomes) != len(self.effects):
-            raise ValueError(
-                f"{len(self.outcomes)} outcome labels for {len(self.effects)} effects"
-            )
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError(f"duplicate outcome labels in {self.outcomes}")
+        self.outcomes = _labels(self.outcomes, len(self.effects), "effects")
 
     @property
     def dim(self) -> int:

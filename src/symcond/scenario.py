@@ -246,8 +246,9 @@ def _parse_state(node, path: str) -> tuple[DensityState | None, QubitCoherentSta
     raise ScenarioError(path, "state needs either 'coherent' or 'matrix'")
 
 
-def _pointer_fields(node, key: str, what: str, path: str) -> tuple[list, list, list | None]:
-    """Outcome labels, the per-outcome ``key`` list and optional values of a pointer node."""
+def _pointer_fields(node, key: str, what: str, path: str) -> tuple[list, list]:
+    """Outcome labels and the per-outcome ``key`` list of a pointer node; an
+    optional ``values`` list (one finite number per outcome) is checked, then dropped."""
     outcomes = _require(node, "outcomes", path)
     parts = _require(node, key, path)
     if not isinstance(outcomes, list) or not all(isinstance(x, str) for x in outcomes):
@@ -263,29 +264,30 @@ def _pointer_fields(node, key: str, what: str, path: str) -> tuple[list, list, l
     if values is not None:
         if not isinstance(values, list) or len(values) != len(outcomes):
             raise ScenarioError(f"{path}.values", "expected one value per outcome")
-        values = [_number(v, f"{path}.values") for v in values]
-    return outcomes, parts, values
+        for v in values:
+            _number(v, f"{path}.values")
+    return outcomes, parts
 
 
 def _parse_pointer_partition(node, dim_a: int, path: str) -> PointerObservable:
     """Number-diagonal pointer node for the exchange-interaction model."""
-    outcomes, blocks, values = _pointer_fields(node, "blocks", "level-list", path)
+    outcomes, blocks = _pointer_fields(node, "blocks", "level-list", path)
     partition = []
     for label, levels in zip(outcomes, blocks):
         if not isinstance(levels, list):
             raise ScenarioError(f"{path}.blocks", "each block must be an array of levels")
         partition.append((label, [_integer(k, f"{path}.blocks") for k in levels]))
     try:
-        return number_pointer(dim_a, partition=partition, values=values)
+        return number_pointer(dim_a, partition=partition)
     except ValueError as exc:
         raise ScenarioError(f"{path}.blocks", str(exc)) from None
 
 
 def _parse_explicit_pointer(node, path: str) -> PointerObservable:
-    outcomes, projectors, values = _pointer_fields(node, "projectors", "matrix", path)
+    outcomes, projectors = _pointer_fields(node, "projectors", "matrix", path)
     mats = [parse_complex_matrix(p, f"{path}.projectors[{i}]") for i, p in enumerate(projectors)]
     try:
-        return PointerObservable(tuple(outcomes), tuple(mats), values)
+        return PointerObservable(outcomes, mats)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 

@@ -219,21 +219,21 @@ def test_criterion_4_theorem1_suite():
 
     cases = {
         "observable_commutes": (
-            MeasurementModel(xi, u_cons, number_pointer(2, values=[1.0, -1.0])),
+            MeasurementModel(xi, u_cons, number_pointer(2)),
             rho_diag,
             sigma_x,
             q2,
         ),
         "state_commutes": (setup.model, setup.system_state(np.pi / 2), setup.observable, setup.conserved),
         "yanase": (
-            MeasurementModel(xi, u_cons, PointerObservable(("u", "v"), (plus, minus), (1.0, -1.0))),
+            MeasurementModel(xi, u_cons, PointerObservable(("u", "v"), (plus, minus))),
             rho_diag,
             obs_diag,
             q2,
         ),
         "conservation": (
             MeasurementModel(
-                xi, random_unitary(4, np.random.default_rng(0)), number_pointer(2, values=[1.0, -1.0])
+                xi, random_unitary(4, np.random.default_rng(0)), number_pointer(2)
             ),
             rho_diag,
             obs_diag,

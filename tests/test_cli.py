@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -433,6 +434,39 @@ def test_theorem_inputs_are_measured_once(command, max_compiles, monkeypatch, ca
     assert counts["yanase"] == 1
     # Theorem 2 needs ρ⊗ϱ and ρ⊗Φ(ϱ); the run report reads the first.
     assert counts["symmetric"] == 2
+
+
+def test_decohered_twin_shares_the_unitary_and_its_band(tmp_path, monkeypatch, capsys):
+    # At n = 128 the JC unitary has a band view. The decohered-apparatus
+    # model of the theorem checks differs only in ϱ: it must reuse U and the
+    # band, not copy U and scan it again.
+    import symcond.report
+    import symcond.symmetry
+    from symcond.objects import MeasurementModel
+
+    detect, scans = MeasurementModel.band.func, []
+    band = cached_property(lambda model: scans.append(model) or detect(model))
+    band.__set_name__(MeasurementModel, "band")
+    monkeypatch.setattr(MeasurementModel, "band", band)
+    models = []
+
+    class RecordingModel(symcond.symmetry.CompiledModel):
+        def __init__(self, model, observable):
+            models.append(model)
+            super().__init__(model, observable)
+
+    monkeypatch.setattr(symcond.report, "CompiledModel", RecordingModel)
+    monkeypatch.setattr(symcond.symmetry, "CompiledModel", RecordingModel)
+    doc = fig1_doc()
+    dim_a = 64
+    doc["model"].update(dim_a=dim_a, apparatus_state={"matrix": matrix_to_pairs(random_density(dim_a, np.random.default_rng(9)).matrix)})
+    doc["model"]["pointer"] = {"outcomes": ["low", "high"], "blocks": [list(range(32)), list(range(32, 64))]}
+    assert main(["run", write_doc(tmp_path, doc)]) == EXIT_OK
+    capsys.readouterr()
+    original, twin = models
+    assert twin is not original and twin.unitary is original.unitary and twin.pointer is original.pointer
+    assert twin.band is original.band is not None
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,6 @@ def number_pointer_2() -> PointerObservable:
     return PointerObservable(
         ("-", "+"),
         (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-        (-1.0, 1.0),
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -134,14 +136,27 @@ def test_model_spec_validation():
 def test_number_pointer_default_partition():
     ptr = number_pointer(3)
     assert ptr.outcomes == ("0", "1", "2")
-    assert_allclose(ptr.as_operator(), np.diag([0.0, 1.0, 2.0]))
+    assert_allclose(sum(int(x) * ptr.projector(x) for x in ptr.outcomes), np.diag([0.0, 1.0, 2.0]))
 
 
 def test_number_pointer_custom_partition():
-    ptr = number_pointer(3, partition=[("low", [0, 1]), ("high", [2])], values=[-1.0, 1.0])
+    ptr = number_pointer(3, partition=[("low", [0, 1]), ("high", [2])])
     assert ptr.outcomes == ("low", "high")
     assert_allclose(ptr.projector("low"), np.diag([1.0, 1.0, 0.0]))
-    assert_allclose(ptr.as_operator(), np.diag([-1.0, -1.0, 1.0]))
+    assert_allclose(-ptr.projector("low") + ptr.projector("high"), np.diag([-1.0, -1.0, 1.0]))
+
+
+def test_number_pointer_is_built_as_its_table():
+    # One outcome per level: the (256, 256) table, never 256 dense 256×256
+    # projectors (268 MB).
+    tracemalloc.start()
+    try:
+        ptr = number_pointer(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 256 * 256 * 16
+    assert np.array_equal(ptr.diagonals, np.eye(256))
 
 
 def test_number_pointer_rejects_bad_partition():

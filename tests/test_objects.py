@@ -120,6 +120,11 @@ def test_diagonal_pointer_validation_matches_the_pairwise_loop(diagonals, invari
     assert pointer.diagonals is not None
     assert rotated.diagonals is None
     got, want = validate(pointer), validate(rotated)
+    # The same family given as its table: the same levels and verdict.
+    table = PointerObservable.from_table(pointer.outcomes, np.array(diagonals, dtype=complex))
+    assert table.levels[0] is None
+    assert np.array_equal(table.levels[1], pointer.levels[1], equal_nan=True)
+    assert repr(validate(table)) == repr(got)
     if invariant is None:
         assert got is None and want is None
         return
@@ -181,7 +186,6 @@ def test_pointer_dimensions_and_lookup():
     ptr = PointerObservable(
         ("-", "+"),
         (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-        (-1.0, 1.0),
     )
     assert ptr.dim == 2
     assert_allclose(ptr.projector("+"), np.diag([0.0, 1.0]))
@@ -189,18 +193,24 @@ def test_pointer_dimensions_and_lookup():
         ptr.projector("sideways")
 
 
-def test_pointer_as_operator():
-    ptr = PointerObservable(
-        ("-", "+"),
-        (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-        (-1.0, 1.0),
-    )
-    assert_allclose(ptr.as_operator(), np.diag([-1.0, 1.0]))
-    unlabeled = PointerObservable(
-        ("-", "+"), (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    )
-    with pytest.raises(ValueError, match="label-only"):
-        unlabeled.as_operator()
+def test_table_pointer_builds_projectors_on_request():
+    table = np.array([[1, 0, 1], [0, 1, 0]], dtype=complex)
+    ptr = PointerObservable.from_table(("a", "b"), table)
+    assert ptr.dim == 3
+    assert ptr.levels[0] is None and np.array_equal(ptr.levels[1], table)
+    for label, row, projector in zip(ptr.outcomes, table, ptr.projectors, strict=True):
+        assert np.array_equal(projector, np.diag(row))
+        assert np.array_equal(ptr.projector(label), np.diag(row))
+    # An all-diagonal family keeps only its table; a rotated one keeps its matrices.
+    family = PointerObservable(("a", "b"), tuple(map(np.diag, table)))
+    assert family._matrices is None and np.array_equal(family.diagonals, table)
+    v = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)) + 0j)[0]
+    rotated = tuple(v @ np.diag(row) @ v.conj().T for row in table)
+    assert np.array_equal(PointerObservable(("a", "b"), rotated).projectors, rotated)
+    with pytest.raises(ValueError, match="2 outcome labels for 3 table rows"):
+        PointerObservable.from_table(("a", "b"), np.eye(3))
+    with pytest.raises(ValueError, match="duplicate"):
+        PointerObservable.from_table(("a", "a"), table)
 
 
 def test_pointer_rejects_duplicate_labels():

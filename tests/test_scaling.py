@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ def test_scaling_script_writes_its_schema(tmp_path):
     for command in ("run", "theorems"):
         entry = case[command]
         assert entry["exit"] == [0]
+        assert entry["peak_rss_bytes_per_n2"] == round(entry["peak_rss_mb_max"] * 2**20 / 16, 1)
         assert entry["wall_s_median"] > 0 and entry["peak_rss_mb_max"] > 0
         (sample,) = entry["samples"]
         assert len(sample["stdout_sha256"]) == 64
@@ -37,3 +39,13 @@ def test_scaling_script_writes_its_schema(tmp_path):
     comparison = report["comparison"]
     assert comparison["selftest_wall_ratio"] == {"change": 1.0}
     assert set(comparison["stdout_sha256"]) == {"2x2 run", "2x2 theorems"} | {f"seed {s} selftest" for s in range(5)}
+
+
+def test_a_child_too_large_for_the_address_space_limit_fails_alone():
+    # numpy.empty reserves without touching, so even without the limit this
+    # child would commit no memory; under it the reservation itself fails.
+    sys.path.insert(0, str(ROOT / "tools"))
+    import scaling
+
+    argv = [sys.executable, "-c", f"import numpy; numpy.empty({scaling.CHILD_ADDRESS_SPACE}, numpy.uint8)"]
+    assert scaling.timed_run(argv, dict(os.environ))["exit"] != 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from symcond import (
     decohere,
     fig1_scenario_path,
     load_scenario,
+    parse_scenario,
     validate,
     verify_theorem1,
     verify_theorem2,
@@ -46,6 +48,7 @@ from symcond.sampling import (
     random_pointer,
     random_unitary,
 )
+from symcond.scenario import matrix_to_pairs
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -221,7 +224,7 @@ def test_check_conservation_identity_unitary():
     model = MeasurementModel(
         DensityState(np.diag([0.4, 0.6]).astype(complex)),
         np.eye(4, dtype=complex),
-        number_pointer(2, values=[1.0, -1.0]),
+        number_pointer(2),
     )
     q = ConservedQuantity(number_operator(2), number_operator(2))
     assert check_conservation(model, q) == pytest.approx(0.0, abs=1e-15)
@@ -236,7 +239,7 @@ def test_check_conservation_swap_spectrum_mismatch():
     model = MeasurementModel(
         DensityState(np.diag([0.4, 0.6]).astype(complex)),
         swap,
-        number_pointer(2, values=[1.0, -1.0]),
+        number_pointer(2),
     )
     matched = ConservedQuantity(ObservableOp(np.diag([0.0, 1.0])), ObservableOp(np.diag([0.0, 1.0])))
     skewed = ConservedQuantity(ObservableOp(np.diag([0.0, 1.0])), ObservableOp(np.diag([0.0, 2.0])))
@@ -295,14 +298,14 @@ def test_check_conservation_dimension_mismatch():
 
 def test_check_yanase_cases():
     xi = DensityState(np.diag([0.4, 0.6]).astype(complex))
-    number_model = MeasurementModel(xi, np.eye(4, dtype=complex), number_pointer(2, values=[1.0, -1.0]))
+    number_model = MeasurementModel(xi, np.eye(4, dtype=complex), number_pointer(2))
     q_number = ConservedQuantity(number_operator(2), number_operator(2))
     assert check_yanase(number_model, q_number) == pytest.approx(0.0, abs=1e-15)
 
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
     tilted = MeasurementModel(
-        xi, np.eye(4, dtype=complex), PointerObservable(("u", "v"), (plus, minus), (1.0, -1.0))
+        xi, np.eye(4, dtype=complex), PointerObservable(("u", "v"), (plus, minus))
     )
     assert check_yanase(tilted, q_number) > 0.1
 
@@ -338,13 +341,28 @@ def test_check_yanase_label_only_pointer_propagates_nan():
 
 def test_check_yanase_does_not_read_outcome_values():
     # Equal values make Σ_x v_x P^x = 1, which commutes with everything;
-    # the residual is the projectors' own, whatever values are attached.
-    xi = DensityState(np.diag([0.4, 0.6]).astype(complex))
-    q = ConservedQuantity(number_operator(2), ObservableOp(SIGMA_X))
-    residuals = [
-        check_yanase(MeasurementModel(xi, np.eye(4, dtype=complex), number_pointer(2, values=values)), q)
-        for values in (None, [1.0, 1.0], [1.0, -1.0])
-    ]
+    # the residual is the projectors' own, whatever values a document attaches.
+    def residual(values):
+        pointer = {"outcomes": ["0", "1"], "blocks": [[0], [1]]}
+        if values is not None:
+            pointer["values"] = values
+        doc = {
+            "model": {
+                "kind": "jaynes-cummings",
+                "dim_s": 2,
+                "dim_a": 2,
+                "theta": 0.0,
+                "apparatus_state": {"matrix": matrix_to_pairs(np.diag([0.4, 0.6]))},
+                "pointer": pointer,
+            },
+            "system_state": {"matrix": matrix_to_pairs(np.diag([0.3, 0.7]))},
+            "observable": "sigma_z",
+            "conserved": {"system": matrix_to_pairs(np.diag([0.0, 1.0])), "apparatus": matrix_to_pairs(SIGMA_X)},
+        }
+        scenario = parse_scenario(json.dumps(doc))
+        return check_yanase(scenario.model, scenario.conserved)
+
+    residuals = [residual(values) for values in (None, [1.0, 1.0], [1.0, -1.0])]
     assert residuals == [residuals[0]] * 3
     assert residuals[0] == pytest.approx(np.sqrt(2), abs=1e-15)
 
@@ -362,6 +380,57 @@ def test_check_yanase_matches_dense_commutators(seed):
     want = max(frob(p @ la - la @ p) for p in model.pointer.projectors)
     got = check_yanase(model, ConservedQuantity(number_operator(2), ObservableOp(la)))
     assert abs(got - want) < 1e-12
+
+
+def _dense_yanase(model, quantity) -> float:
+    # The per-outcome dense formula: max_x ‖(w_xi − w_xj)·L_ij‖_F over every
+    # (i, j) of L = B†L_A B, zeros and diagonal included.
+    basis, weights = model.pointer.levels
+    la = quantity.apparatus_part.matrix
+    if basis is not None:
+        la = basis.conj().T @ la @ basis
+    residuals = [frob((w[:, None] - w[None, :]) * la) for w in weights]
+    return np.nan if any(np.isnan(residuals)) else max(residuals)
+
+
+@pytest.mark.parametrize("pointer_kind", ["number", "coarse", "rotated", "nan", "inf"])
+@pytest.mark.parametrize("la_kind", ["number", "sigma_x", "hermitian", "nan_diagonal"])
+def test_check_yanase_reads_only_nonzero_off_diagonal_entries(pointer_kind, la_kind):
+    # The residual from L_A's nonzero off-diagonal entries against the
+    # dense formula over all d_a² entries: equal to the last digits, exactly
+    # 0 for a diagonal L_A, and NaN wherever the dense formula is NaN (a
+    # non-finite weight meets L's zeros there, and a NaN on L's diagonal
+    # meets w_xi − w_xi = 0).
+    rng = np.random.default_rng(81)
+    dim_a = 6
+    pointer = number_pointer(dim_a)
+    if pointer_kind == "coarse":
+        pointer = number_pointer(dim_a, partition=[("a", [0, 3]), ("b", [1, 2, 5]), ("c", [4])])
+    elif pointer_kind == "rotated":
+        v = random_unitary(dim_a, rng)
+        pointer = PointerObservable(pointer.outcomes, tuple(v @ p @ v.conj().T for p in pointer.projectors))
+        assert pointer.levels[0] is not None
+    elif pointer_kind in ("nan", "inf"):
+        table = pointer.diagonals.copy()
+        table[2, 2] = np.nan if pointer_kind == "nan" else np.inf
+        pointer = PointerObservable.from_table(pointer.outcomes, table)
+    la = {
+        "number": np.diag(np.arange(dim_a, dtype=float)),
+        "sigma_x": np.kron(np.eye(dim_a // 2), SIGMA_X),
+        "hermitian": random_hermitian(dim_a, rng),
+        "nan_diagonal": np.diag([0.0, 1.0, np.nan, 3.0, 4.0, 5.0]),
+    }[la_kind]
+    model = MeasurementModel(random_density(dim_a, rng), np.eye(2 * dim_a, dtype=complex), pointer)
+    q = ConservedQuantity(number_operator(2), ObservableOp(la))
+    with np.errstate(invalid="ignore"):
+        got, want = check_yanase(model, q), _dense_yanase(model, q)
+    if np.isnan(want):
+        assert np.isnan(got)
+    elif la_kind == "number" and pointer_kind != "rotated":
+        assert got == want == 0.0
+    else:
+        assert abs(got - want) <= 1e-14 * max(1.0, want)
+    assert np.isnan(got) == (pointer_kind in ("nan", "inf") or la_kind == "nan_diagonal")
 
 
 def test_non_commuting_projectors_have_no_level_table():
@@ -428,7 +497,7 @@ def test_check_cross_elements_identity_unitary():
     model = MeasurementModel(
         DensityState(np.diag([0.4, 0.6]).astype(complex)),
         np.eye(4, dtype=complex),
-        number_pointer(2, values=[1.0, -1.0]),
+        number_pointer(2),
     )
     q = ConservedQuantity(number_operator(2), number_operator(2))
     obs = ObservableOp(np.diag([-1.0, 1.0]))
@@ -912,7 +981,7 @@ def test_blockwise_rejects_nonconserving_unitary():
     model = MeasurementModel(
         DensityState(np.diag([0.4, 0.6]).astype(complex)),
         random_unitary(4, rng),
-        number_pointer(2, values=[1.0, -1.0]),
+        number_pointer(2),
     )
     q = ConservedQuantity(number_operator(2), number_operator(2))
     rho = DensityState(np.diag([0.3, 0.7]).astype(complex))

@@ -63,6 +63,18 @@ MUTANTS = (
         "m = obj.matrix\n        r = frob(m - dagger(m))\n        if r > tol:",
     ),
     (
+        "check_yanase: drop the NaN guard of non-finite weights",
+        "symmetry",
+        "    residuals[~np.isfinite(weights).all(axis=1)] = math.nan\n",
+        "",
+    ),
+    (
+        "number_pointer: the first two levels swap rows",
+        "jaynes_cummings",
+        "for _ in levels], used] = 1.0",
+        "for _ in levels], [used[1], used[0], *used[2:]]] = 1.0",
+    ),
+    (
         "TheoremVerdict._held: < becomes <=",
         "symmetry",
         "{name: r < self.tolerance for",
@@ -148,9 +160,10 @@ def main() -> int:
             rows.append((i, module, name, "survived" if passed else "killed", "" if passed else detail))
             shutil.rmtree(tree)
     width = max(len(name) for _, _, name, _, _ in rows)
-    print(f"{'#':>2}  {'module':<9} {'mutant':<{width}}  {'result':<8}  first failing test")
+    mwidth = max(len(module) for _, module, _, _, _ in rows)
+    print(f"{'#':>2}  {'module':<{mwidth}} {'mutant':<{width}}  {'result':<8}  first failing test")
     for i, module, name, result, detail in rows:
-        print(f"{i:>2}  {module:<9} {name:<{width}}  {result:<8}  {detail}")
+        print(f"{i:>2}  {module:<{mwidth}} {name:<{width}}  {result:<8}  {detail}")
     survivors = sum(result == "survived" for *_, result, _ in rows)
     print(f"{len(rows) - survivors} of {len(rows)} mutants killed")
     return 1 if survivors else 0

@@ -5,6 +5,7 @@ over Jaynes-Cummings sizes, and of ``symcond selftest`` at fixed seeds.
     python3 tools/scaling.py --out BENCH_14.json
     python3 tools/scaling.py --side parent=../parent/src --side change=src --out BENCH_14.json
     python3 tools/scaling.py --sizes 2x2 --repeat 1 --out /tmp/smoke.json
+    python3 tools/scaling.py --sizes 2x1024 --out big.json
 
 Each case is a seeded JC scenario (default one-outcome-per-level pointer,
 full-rank random apparatus state, conserved excitation number) written to
@@ -12,15 +13,21 @@ a temporary directory. Every (side, case, command) runs ``--repeat`` times
 in a fresh interpreter with ``PYTHONPATH`` set to the side's source tree
 and BLAS on one thread; the wall time and the child's own peak resident
 memory (``os.wait4``) of every run are recorded, with the sha256 of its
-stdout so sides can be checked for identical output. Sides alternate
-within each case, so host-speed drift hits them alike.
+stdout so sides can be checked for identical output, and each case's
+peak RSS per n² entry (bytes), where a dense n×n complex matrix is 16.
+Sides alternate within each case, so host-speed drift hits them alike.
+Every child runs under a ``CHILD_ADDRESS_SPACE`` address-space limit, so
+a case too large for the host fails alone (a nonzero exit, recorded as
+such) instead of exhausting the machine's memory.
 
-Two legs: a narrow system (dim_s = 2, dim_a up to 256, n up to 512) and a
-wide one (dim_s up to 128). ``symcond selftest`` runs the same way once
-per ``SYMCOND_SEED`` in ``SELFTEST_SEEDS``. The ``comparison`` section
-lists the distinct stdout digests of every (case or seed, command) across
-sides, and each side's selftest wall time (sum of the per-seed medians)
-relative to the first side. Timings are recorded, never gated.
+Two legs: a narrow system (dim_s = 2, dim_a up to 512, n up to 1024) and
+a wide one (dim_s up to 128). The largest size a scenario admits,
+dim_s·dim_a = 2048, runs only when asked for with ``--sizes 2x1024``.
+``symcond selftest`` runs the same way once per ``SYMCOND_SEED`` in
+``SELFTEST_SEEDS``. The ``comparison`` section lists the distinct stdout
+digests of every (case or seed, command) across sides, and each side's
+selftest wall time (sum of the per-seed medians) relative to the first
+side. Timings are recorded, never gated.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,7 +54,7 @@ from symcond.sampling import random_density  # noqa: E402
 from symcond.scenario import matrix_to_pairs  # noqa: E402
 
 LEGS = {
-    "narrow": ((2, 2), (2, 8), (2, 32), (2, 64), (2, 128), (2, 256)),
+    "narrow": ((2, 2), (2, 8), (2, 32), (2, 64), (2, 128), (2, 256), (2, 512)),
     "wide": ((4, 16), (8, 32), (16, 32), (32, 16), (128, 4)),
 }
 COMMANDS = ("run", "theorems")
@@ -54,6 +62,13 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SCHEMA = "symcond-scaling/1"
 SEED = 0  # of the generated scenarios
 SELFTEST_SEEDS = (0, 1, 2, 3, 4)
+# Address-space limit (bytes) of every measured child: room for a 2.8 GB
+# peak RSS plus the interpreter's and BLAS's unbacked reservations.
+CHILD_ADDRESS_SPACE = 5 * 2**30
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
 def scenario_document(dim_s: int, dim_a: int) -> str:
@@ -80,7 +95,9 @@ def timed_run(argv: list[str], env: dict[str, str]) -> dict:
     """Wall seconds, peak RSS (MB) and stdout digest of one child process."""
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen(
+            argv, env=env, stdout=out, stderr=subprocess.DEVNULL, preexec_fn=_limit_address_space
+        )
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -198,11 +215,13 @@ def main(argv: list[str] | None = None) -> int:
                 entry = {"leg": leg, "dim_s": ds, "dim_a": da, "n": ds * da}
                 for cmd, samples in runs[label].items():
                     entry[cmd] = summary(samples)
+                    entry[cmd]["peak_rss_bytes_per_n2"] = round(entry[cmd]["peak_rss_mb_max"] * 2**20 / (ds * da) ** 2, 1)
                 results[label]["cases"].append(entry)
                 print(
                     f"{label:>8} {leg:>6} {ds:>3}x{da:<3} "
                     + " ".join(
                         f"{cmd} {entry[cmd]['wall_s_median']:.3f}s/{entry[cmd]['peak_rss_mb_max']:.0f}MB"
+                        f"/{entry[cmd]['peak_rss_bytes_per_n2']:.0f}B per n² exit {entry[cmd]['exit']}"
                         for cmd in COMMANDS
                     ),
                     file=sys.stderr,
