@@ -233,10 +233,11 @@ class CompiledModel:
 def _averages(traces: np.ndarray) -> tuple[float, float]:
     """(Σ_x p(x)·before(x), Σ_x p(x)·after(x)) = (Σ_x Re tr[M(x)Oρ],
     Σ_x Re tr[K(x)ρ]) from one state's (3, |X|) ``CompiledModel.traces``,
-    summed in model order; outcomes not above P_FLOOR add 0."""
+    summed in model order; outcomes at or below P_FLOOR add 0, and one
+    with a NaN p is added, not skipped."""
     before = after = 0.0
     for p, weak, aft in zip(*traces.real.tolist()):
-        if p > P_FLOOR:
+        if not p <= P_FLOOR:
             before += weak
             after += aft
     return before, after

@@ -11,9 +11,10 @@ a formula that shares none of its evaluation code:
   pairs that the additive conservation law permits, checks the conditional
   values before and after.
 
-:func:`selftest_checks` draws seeded random instances and measures the
-production route against these routes and closed forms. No production
-module imports anything from here.
+:func:`selftest_checks` draws seeded random instances, each once for
+every check that reads it, and measures the production route against
+these routes and closed forms. No production module imports anything
+from here.
 """
 
 from __future__ import annotations
@@ -166,71 +167,69 @@ def _largest(residuals: list) -> float:
 
 
 def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
-    """Seeded randomized property checks: (name, worst residual, threshold)."""
+    """Seeded randomized property checks: (name, worst residual, threshold).
+
+    Random instances are drawn once each and read by every check that
+    applies to them. Each of 20 unconstrained instances (a random model,
+    five states, an observable) feeds the probability check (all five
+    states), the weak-value check and the average identities (the first
+    state). Each of 10 number-conserving instances (a diagonal observable,
+    a diagonal and a full state) feeds theorem 1 (both states) and the
+    blockwise path (the full state). The pinching algebra and the closed
+    form draw their own. An outcome is skipped only where p is a number
+    at or below the floor, so a NaN p fails its check.
+    """
     rng = np.random.default_rng(seed)
-    checks: list[tuple[str, float, float]] = []
-
-    # Induced POVM reproduces the Schrödinger-picture instrument statistics.
-    residuals = []
+    probability, averages, weak = [], [], []
     for _ in range(20):
         dims = rng.integers(2, 4, size=2)
         model = random_model(int(dims[0]), int(dims[1]), rng)
-        effects = np.stack(induced_povm(model).effects)
         states = np.stack([random_density(model.dim_s, rng).matrix for _ in range(5)])
+        observable = random_observable(model.dim_s, rng)
+        compiled = CompiledModel(model, observable)
+
+        # Induced POVM reproduces the Schrödinger-picture instrument statistics,
+        # and the weak value from M(x) agrees with the instrument applied to
+        # Oρ₀, the last operand of the same stack.
+        effects = np.stack(induced_povm(model).effects)
         born = np.clip(np.trace(effects @ states[:, None], axis1=-2, axis2=-1).real, 0.0, 1.0)
+        operands = np.concatenate([states, [observable.matrix @ states[0]]])
+        p, before, _ = compiled.conditional_values(states[0])
         for i, outcome in enumerate(model.outcomes):
-            branches = apply_instrument(model, states, outcome)
-            residuals.append(np.abs(born[:, i] - np.trace(branches, axis1=-2, axis2=-1).real))
-    checks.append(("probability_reproducibility", _largest(residuals), 1e-10))
+            traces = np.trace(apply_instrument(model, operands, outcome), axis1=-2, axis2=-1).real
+            probability.append(np.abs(born[:, i] - traces[:-1]))
+            if not p[i] <= 1e-6:
+                weak.append(abs(before[i] - traces[-1] / traces[0]))
 
-    # Outcome-averaged before/after values match their closed forms.
-    residuals = []
-    for _ in range(20):
-        dims = rng.integers(2, 4, size=2)
-        model = random_model(int(dims[0]), int(dims[1]), rng)
-        state = random_density(model.dim_s, rng)
-        observable = random_observable(model.dim_s, rng)
-        joint = kron(state.matrix, model.apparatus_state.matrix)
-        evolved = model.unitary @ joint @ model.unitary.conj().T
-        target_after = float(
-            np.trace(kron(observable.matrix, np.eye(model.dim_a)) @ evolved).real
-        )
-        target_before = float(np.trace(observable.matrix @ state.matrix).real)
-        avg_before, avg_after = _averages(CompiledModel(model, observable).traces(state.matrix))
-        residuals += [abs(avg_before - target_before), abs(avg_after - target_after)]
-    checks.append(("average_identities", _largest(residuals), 1e-9))
+        # Outcome-averaged before/after values match their closed forms.
+        evolved = model.unitary @ kron(states[0], model.apparatus_state.matrix) @ model.unitary.conj().T
+        target_after = float(np.trace(kron(observable.matrix, np.eye(model.dim_a)) @ evolved).real)
+        target_before = float(np.trace(observable.matrix @ states[0]).real)
+        avg_before, avg_after = _averages(compiled.traces(states[0]))
+        averages += [abs(avg_before - target_before), abs(avg_after - target_after)]
 
-    # The weak value from M(x) agrees with the instrument applied to Oρ.
-    residuals = []
-    for _ in range(20):
-        dims = rng.integers(2, 4, size=2)
-        model = random_model(int(dims[0]), int(dims[1]), rng)
-        state = random_density(model.dim_s, rng)
-        observable = random_observable(model.dim_s, rng)
-        p, before, _ = CompiledModel(model, observable).conditional_values(state.matrix)
-        operands = np.stack([state.matrix, observable.matrix @ state.matrix])
-        for i in np.flatnonzero(p > 1e-6):
-            branches = apply_instrument(model, operands, model.outcomes[i])
-            traces = np.trace(branches, axis1=-2, axis2=-1).real
-            residuals.append(abs(before[i] - traces[1] / traces[0]))
-    checks.append(("weak_value_dual_route", _largest(residuals), 1e-9))
-
-    # Both coherence-irrelevance branches on conserving random instances.
-    residuals = []
+    theorem1, blockwise = [], []
     for _ in range(10):
         dims = rng.integers(2, 4, size=2)
         model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
         observable = random_diagonal_observable(model.dim_s, rng)
         diag_state = random_diagonal_density(model.dim_s, rng)
-        v = verify_theorem1(model, diag_state, observable, quantity)
-        residuals += [v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]]
         full_state = random_density(model.dim_s, rng)
+
+        # Both coherence-irrelevance branches.
+        v = verify_theorem1(model, diag_state, observable, quantity)
+        theorem1 += [v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]]
         v = verify_theorem1(model, full_state, observable, quantity)
-        residuals += [v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]]
-    checks.append(("theorem1_instances", _largest(residuals), 1e-9))
+        theorem1 += [v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]]
+
+        # Blockwise sector path against the direct conditional values.
+        p, before, after = CompiledModel(model, observable).conditional_values(full_state.matrix)
+        before_bw, after_bw = blockwise_conditional_values(model, full_state, observable, quantity)
+        kept = ~(p <= 1e-6)
+        blockwise += [np.abs(before_bw - before)[kept], np.abs(after_bw - after)[kept]]
 
     # Pinching algebra: idempotent, trace-preserving, L-compatible, fixed points.
-    residuals = []
+    algebra = []
     for _ in range(20):
         dim = int(rng.integers(2, 7))
         l_op = random_hermitian(dim, rng)
@@ -238,37 +237,30 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         a = random_density(dim, rng).matrix
         pinched = decohere(a, spectrum)
         commuting = l_op @ l_op
-        residuals += [
+        algebra += [
             frob(decohere(pinched, spectrum) - pinched),
             abs(np.trace(pinched).real - np.trace(a).real),
             frob(pinched @ l_op - l_op @ pinched),
             -float(np.linalg.eigvalsh(pinched).min()),  # −λ_min: above 0 only if not PSD
             frob(decohere(commuting, spectrum) - commuting),
         ]
-    checks.append(("decoherence_algebra", _largest(residuals), 1e-10))
 
     # Blocked closed-form unitary against the spectral exponential.
-    residuals = []
+    closed_form = []
     for dim_a in range(2, 7):
         for _ in range(3):
             theta = float(rng.uniform(-2 * pi, 2 * pi))
             spec = JCModelSpec(dim_s=2, dim_a=dim_a, theta=theta)
             direct = jc_unitary_closed_form(spec)
             spectral = unitary_from_generator(jc_hamiltonian(2, dim_a).matrix, theta)
-            residuals.append(frob(direct - spectral))
-    checks.append(("closed_form_unitary", _largest(residuals), 1e-10))
+            closed_form.append(frob(direct - spectral))
 
-    # Blockwise sector path against the direct conditional values.
-    residuals = []
-    for _ in range(10):
-        dims = rng.integers(2, 4, size=2)
-        model, quantity = random_number_conserving_model(int(dims[0]), int(dims[1]), rng)
-        observable = random_diagonal_observable(model.dim_s, rng)
-        state = random_density(model.dim_s, rng)
-        p, before, after = CompiledModel(model, observable).conditional_values(state.matrix)
-        before_bw, after_bw = blockwise_conditional_values(model, state, observable, quantity)
-        kept = p > 1e-6
-        residuals += [np.abs(before_bw - before)[kept], np.abs(after_bw - after)[kept]]
-    checks.append(("blockwise_crosspath", _largest(residuals), 1e-9))
-
-    return checks
+    return [
+        ("probability_reproducibility", _largest(probability), 1e-10),
+        ("average_identities", _largest(averages), 1e-9),
+        ("weak_value_dual_route", _largest(weak), 1e-9),
+        ("theorem1_instances", _largest(theorem1), 1e-9),
+        ("decoherence_algebra", _largest(algebra), 1e-10),
+        ("closed_form_unitary", _largest(closed_form), 1e-10),
+        ("blockwise_crosspath", _largest(blockwise), 1e-9),
+    ]

@@ -282,13 +282,14 @@ class _TheoremInputs:
         """Largest spread (max − min) of before and of after over the named
         (model, state) cells, outcome by outcome.
 
-        An outcome where any of these cells has p not above P_FLOOR is
-        skipped: its conditional values are undefined, so nothing is
-        claimed. NaN propagates; no outcome left gives 0.0.
+        An outcome where any of these cells has a p at or below P_FLOOR
+        is skipped: its conditional values are undefined, so nothing is
+        claimed. A NaN p is kept, so NaN propagates; no outcome left
+        gives 0.0.
         """
         models, states = (list(axis) for axis in zip(*cells))
         grid = self.grid[:, models, states]  # [(p, before, after), cell, outcome]
-        values = grid[1:, :, (grid[0] > P_FLOOR).all(axis=0)]
+        values = grid[1:, :, ~(grid[0] <= P_FLOOR).any(axis=0)]
         with np.errstate(invalid="ignore"):  # inf − inf is NaN, reported as such
             before, after = (values - values.min(axis=1, keepdims=True)).reshape(2, -1).tolist()
         # The leading 0.0 makes a zero spread +0.0 whatever the signs of the zeros.

@@ -895,18 +895,26 @@ def test_selftest_seed_takes_what_int_takes(capsys, monkeypatch):
             lambda branches: np.full_like(branches, np.nan),
             {"probability_reproducibility", "weak_value_dual_route"},
         ),
+        (
+            # A NaN probability is compared, never skipped as a zero-probability outcome.
+            "traces",
+            lambda traces: np.full_like(traces, np.nan),
+            {"average_identities", "weak_value_dual_route", "theorem1_instances", "blockwise_crosspath"},
+        ),
     ],
-    ids=["blockwise", "instrument"],
+    ids=["blockwise", "instrument", "traces"],
 )
 def test_selftest_fails_on_a_nan_residual(target, nan_like, failing, capsys, monkeypatch):
     import symcond.oracles
+    from symcond.engine import CompiledModel
 
-    real = getattr(symcond.oracles, target)
+    owner = CompiledModel if target == "traces" else symcond.oracles
+    real = getattr(owner, target)
 
     def nan_valued(*args):
         return nan_like(real(*args))
 
-    monkeypatch.setattr(symcond.oracles, target, nan_valued)
+    monkeypatch.setattr(owner, target, nan_valued)
     assert main(["selftest"]) == EXIT_ASSERT
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[1].rstrip(":") for line in lines if "FAIL (max residual nan," in line}
@@ -934,6 +942,7 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
     for name in (
         "random_model",
         "random_density",
+        "random_observable",
         "random_diagonal_density",
         "random_number_conserving_model",
         "random_hermitian",
@@ -951,17 +960,20 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
     monkeypatch.setattr(symcond.oracles, "apply_instrument", counting_instrument)
     assert all(residual < threshold for _, residual, threshold in selftest_checks(42))
 
+    # Each instance is drawn once and read by every check that applies to it.
     conserving = "random_number_conserving_model"
-    expected = (
-        ["random_model"] + ["random_density"] * 5
-    ) * 20 + ["random_model", "random_density"] * 40 + [
-        conserving, "random_diagonal_density", "verify_theorem1", "random_density", "verify_theorem1"
-    ] * 10 + ["random_hermitian", "random_density"] * 20 + ["jc_unitary_closed_form"] * 15 + [
-        conserving, "random_density", "blockwise_conditional_values"
-    ] * 10
+    expected = (["random_model"] + ["random_density"] * 5 + ["random_observable"]) * 20 + [
+        conserving,
+        "random_diagonal_density",
+        "random_density",
+        "verify_theorem1",
+        "verify_theorem1",
+        "blockwise_conditional_values",
+    ] * 10 + ["random_hermitian", "random_density"] * 20 + ["jc_unitary_closed_form"] * 15
     assert log == expected
-    # The probability check sends each of its 100 states through every outcome's instrument.
-    assert [operands[id(m)] for m in models[:20]] == [5 * len(m.outcomes) for m in models[:20]]
+    # Every outcome's instrument takes the instance's 5 states plus Oρ₀.
+    assert len(models) == 20
+    assert [operands[id(m)] for m in models] == [6 * len(m.outcomes) for m in models]
 
 
 def test_undecodable_scenario_is_parse_error(tmp_path, capsys):

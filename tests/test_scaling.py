@@ -36,8 +36,9 @@ def test_scaling_script_writes_its_schema(tmp_path):
     assert report["selftest_seeds"] == [entry["seed"] for entry in selftest] == [0, 1, 2, 3, 4]
     for entry in selftest:
         assert entry["exit"] == [0] and entry["wall_s_median"] > 0 and len(entry["stdout_sha256"]) == 1
+        assert entry["compute_s_median"] == entry["compute_s"][0] < entry["wall_s_median"]
     comparison = report["comparison"]
-    assert comparison["selftest_wall_ratio"] == {"change": 1.0}
+    assert comparison["selftest_wall_ratio"] == comparison["selftest_compute_ratio"] == {"change": 1.0}
     assert set(comparison["stdout_sha256"]) == {"2x2 run", "2x2 theorems"} | {f"seed {s} selftest" for s in range(5)}
 
 

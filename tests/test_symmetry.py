@@ -910,6 +910,21 @@ def test_spreads_keep_the_per_report_arithmetic(xs):
     assert np.array(got).tobytes() == np.array([want, want]).tobytes()
 
 
+def test_spreads_compare_a_nan_probability_and_skip_a_zero_one():
+    # A NaN p is no zero-probability outcome: its values (NaN, as
+    # conditional_values divides by p) enter the spread. A p at the floor
+    # is still skipped, whatever its values.
+    from symcond.symmetry import _TheoremInputs
+
+    grid = np.ones((3, 2, 1, 2))  # [(p, before, after), model, state, outcome]
+    grid[:, 1, 0, 0] = np.nan
+    grid[0, 1, 0, 1] = P_FLOOR
+    grid[1:, 1, 0, 1] = 5.0
+    assert np.isnan(_TheoremInputs({}, None, grid).spreads((0, 0), (1, 0))).all()
+    grid[:, 1, 0, 0] = 1.0
+    assert _TheoremInputs({}, None, grid).spreads((0, 0), (1, 0)) == (0.0, 0.0)
+
+
 def test_blockwise_matches_direct_on_fig1():
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(0.0)

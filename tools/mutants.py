@@ -75,6 +75,12 @@ MUTANTS = (
         "for _ in levels], [used[1], used[0], *used[2:]]] = 1.0",
     ),
     (
+        "_TheoremInputs.spreads: skip a NaN p as a zero one",
+        "symmetry",
+        "~(grid[0] <= P_FLOOR).any(axis=0)",
+        "(grid[0] > P_FLOOR).all(axis=0)",
+    ),
+    (
         "TheoremVerdict._held: < becomes <=",
         "symmetry",
         "{name: r < self.tolerance for",

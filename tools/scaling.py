@@ -24,9 +24,12 @@ Two legs: a narrow system (dim_s = 2, dim_a up to 512, n up to 1024) and
 a wide one (dim_s up to 128). The largest size a scenario admits,
 dim_s·dim_a = 2048, runs only when asked for with ``--sizes 2x1024``.
 ``symcond selftest`` runs the same way once per ``SYMCOND_SEED`` in
-``SELFTEST_SEEDS``. The ``comparison`` section lists the distinct stdout
-digests of every (case or seed, command) across sides, and each side's
-selftest wall time (sum of the per-seed medians) relative to the first
+``SELFTEST_SEEDS``, and a second child per seed times its own
+``selftest_checks(seed)`` call after import, so the check arithmetic is
+resolved apart from the ~0.13 s of interpreter start and import. The
+``comparison`` section lists the distinct stdout digests of every (case
+or seed, command) across sides, and each side's selftest wall and
+compute times (sums of the per-seed medians) relative to the first
 side. Timings are recorded, never gated.
 """
 
@@ -65,6 +68,14 @@ SELFTEST_SEEDS = (0, 1, 2, 3, 4)
 # Address-space limit (bytes) of every measured child: room for a 2.8 GB
 # peak RSS plus the interpreter's and BLAS's unbacked reservations.
 CHILD_ADDRESS_SPACE = 5 * 2**30
+# Prints the seconds one selftest_checks(seed) call takes, import excluded.
+SELFTEST_TIMER = """\
+import sys, time
+from symcond.oracles import selftest_checks
+start = time.perf_counter()
+selftest_checks(int(sys.argv[1]))
+print(time.perf_counter() - start)
+"""
 
 
 def _limit_address_space() -> None:
@@ -122,9 +133,18 @@ def summary(samples: list[dict]) -> dict:
     }
 
 
+def selftest_compute(seed: int, env: dict[str, str]) -> float:
+    """Seconds of one ``selftest_checks(seed)`` call in a fresh child, import excluded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SELFTEST_TIMER, str(seed)], env=env, capture_output=True, text=True, check=True
+    )
+    return round(float(proc.stdout), 5)
+
+
 def comparison(results: dict) -> dict:
     """Distinct stdout digests per (case or seed, command) across all sides,
-    and each side's total selftest wall time relative to the first side's."""
+    and each side's total selftest wall and compute times relative to the
+    first side's."""
     digests: dict[str, set[str]] = {}
     for side in results.values():
         for case in side["cases"]:
@@ -132,12 +152,17 @@ def comparison(results: dict) -> dict:
                 digests.setdefault(f"{case['dim_s']}x{case['dim_a']} {cmd}", set()).update(case[cmd]["stdout_sha256"])
         for entry in side["selftest"]:
             digests.setdefault(f"seed {entry['seed']} selftest", set()).update(entry["stdout_sha256"])
-    walls = {label: round(sum(e["wall_s_median"] for e in side["selftest"]), 4) for label, side in results.items()}
+    walls, computes = (
+        {label: round(sum(e[key] for e in side["selftest"]), 4) for label, side in results.items()}
+        for key in ("wall_s_median", "compute_s_median")
+    )
     first = next(iter(walls))
     return {
         "stdout_sha256": {key: sorted(values) for key, values in digests.items()},
         "selftest_wall_s": walls,
         "selftest_wall_ratio": {label: round(wall / walls[first], 4) for label, wall in walls.items()},
+        "selftest_compute_s": computes,
+        "selftest_compute_ratio": {label: round(t / computes[first], 4) for label, t in computes.items()},
     }
 
 
@@ -229,13 +254,22 @@ def main(argv: list[str] | None = None) -> int:
 
     for seed in SELFTEST_SEEDS:
         runs = {label: [] for label in sides}
+        computes = {label: [] for label in sides}
         for r in range(args.repeat):
             for label in list(sides) if r % 2 == 0 else list(reversed(sides)):
                 env = dict(env_base, PYTHONPATH=str(sides[label]), SYMCOND_SEED=str(seed))
                 runs[label].append(timed_run([sys.executable, "-m", "symcond", "selftest"], env))
+                computes[label].append(selftest_compute(seed, env))
         for label, samples in runs.items():
-            results[label]["selftest"].append({"seed": seed, **summary(samples)})
-            print(f"{label:>8} selftest seed {seed} {statistics.median(s['wall_s'] for s in samples):.3f}s", file=sys.stderr)
+            compute = statistics.median(computes[label])
+            results[label]["selftest"].append(
+                {"seed": seed, **summary(samples), "compute_s": computes[label], "compute_s_median": compute}
+            )
+            print(
+                f"{label:>8} selftest seed {seed} {statistics.median(s['wall_s'] for s in samples):.3f}s"
+                f" ({compute * 1e3:.1f} ms in selftest_checks)",
+                file=sys.stderr,
+            )
 
     report = {
         "schema": SCHEMA,
