@@ -1,4 +1,4 @@
-"""When does apparatus coherence matter? Exercising the two verifiers.
+"""When does apparatus coherence matter? Exercising the theorem verifier.
 
 A conserved additive quantity L = L_S (x) 1 + 1 (x) L_A splits state
 space into eigenvalue sectors. The pinching map Phi_L wipes out all
@@ -12,6 +12,9 @@ state by its decohered version changes nothing.
 Theorem-2-style claim: with a symmetric (all-real in the conserved
 eigenbasis) product state and a purely imaginary cross-element structure,
 even the system state's own coherences can be pinched away freely.
+
+One call, verify_theorems, measures the shared hypotheses once and returns
+both verdicts; each case below reads the one theorem it illustrates.
 
 Run:  python3 demos/decoherence_and_theorems.py
 """
@@ -27,8 +30,7 @@ from symcond import (
     decohere,
     fig1_scenario_path,
     load_scenario,
-    verify_theorem1,
-    verify_theorem2,
+    verify_theorems,
 )
 
 
@@ -64,29 +66,32 @@ def main() -> None:
     # the first theorem apply and every equality holds.
     rho_diag = setup.system_state(np.pi / 2)
     rho_diag = type(rho_diag)(np.diag(np.diag(rho_diag.matrix)))
-    show("theorem 1, commuting state", verify_theorem1(model, rho_diag, setup.observable, quantity))
+    show("theorem 1, commuting state",
+         verify_theorems(model, rho_diag, setup.observable, quantity)["theorem1"])
 
     # Case 2: the phase-pi/2 coherent state does not commute with L_S.
     # The first branch's hypothesis fails and its equalities genuinely
     # break; the second branch never needed that hypothesis and survives.
     rho_coh = setup.system_state(np.pi / 2)
-    show("theorem 1, coherent state", verify_theorem1(model, rho_coh, setup.observable, quantity))
+    show("theorem 1, coherent state",
+         verify_theorems(model, rho_coh, setup.observable, quantity)["theorem1"])
 
     # Case 3: a non-commuting observable voids every claim. The verifier
     # reports the broken hypothesis and marks the equalities unclaimed.
     sigma_x = ObservableOp(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    show("theorem 1, sigma_x observable", verify_theorem1(model, rho_diag, sigma_x, quantity))
+    show("theorem 1, sigma_x observable",
+         verify_theorems(model, rho_diag, sigma_x, quantity)["theorem1"])
 
     # Case 4: phase 0 gives an all-real product state. The stronger
     # four-way chains hold: coherent vs pinched, in the state and in the
     # apparatus, all give identical conditional values.
     show("theorem 2, symmetric state (phase 0)",
-         verify_theorem2(model, setup.system_state(0.0), setup.observable, quantity))
+         verify_theorems(model, setup.system_state(0.0), setup.observable, quantity)["theorem2"])
 
     # Case 5: phase 0.4*pi makes the product state complex; the symmetry
     # hypothesis fails and the chains visibly split.
     show("theorem 2, asymmetric state (phase 0.4 pi)",
-         verify_theorem2(model, setup.system_state(0.4 * np.pi), setup.observable, quantity))
+         verify_theorems(model, setup.system_state(0.4 * np.pi), setup.observable, quantity)["theorem2"])
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 A small numerical laboratory for finite-dimensional quantum measurement
 models: outcome probabilities, conditional expectation values before and
-after measurement, symmetry-induced decoherence maps, verifiers for the
+after measurement, symmetry-induced decoherence maps, a verifier for the
 coherence-irrelevance theorems, and an excitation-exchange
 (Jaynes-Cummings) model family to exercise them on.
 """
@@ -61,8 +61,6 @@ from .symmetry import (
     check_symmetric_product_state,
     check_yanase,
     decohere,
-    verify_theorem1,
-    verify_theorem2,
     verify_theorems,
 )
 
@@ -111,8 +109,6 @@ __all__ = [
     "qubit_coherent_state",
     "unitary_from_generator",
     "validate",
-    "verify_theorem1",
-    "verify_theorem2",
     "verify_theorems",
     "weak_value",
     "__version__",

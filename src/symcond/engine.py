@@ -25,7 +25,7 @@ the (3, |X|) rows tr[M(x)ρ], tr[M(x)Oρ] and tr[K(x)ρ] for one state or a
 before and after (their change is after − before). Outcome averages are
 sums of the trace rows, Σ_x p(x)·before(x) = Σ_x Re tr[M(x)Oρ] and
 Σ_x p(x)·after(x) = Σ_x Re tr[K(x)ρ]. Sweeps, reports, selftest and the
-theorem verifiers all read these arrays; the verifiers read both
+theorem verifier all read these arrays; the verifier reads both
 theorems' equalities from one 2×2 grid of them (original or decohered
 apparatus × ρ or Φ_{L_S}(ρ)).
 

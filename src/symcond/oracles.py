@@ -46,7 +46,7 @@ from .sampling import (
     random_number_conserving_model,
     random_observable,
 )
-from .symmetry import ConservedQuantity, _shared_hypotheses, _worst, decohere, verify_theorem1
+from .symmetry import ConservedQuantity, _shared_hypotheses, _worst, decohere, verify_theorems
 
 
 def apply_instrument(
@@ -175,9 +175,10 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
     states), the weak-value check and the average identities (the first
     state). Each of 10 number-conserving instances (a diagonal observable,
     a diagonal and a full state) feeds theorem 1 (both states) and the
-    blockwise path (the full state). The pinching algebra and the closed
-    form draw their own. An outcome is skipped only where p is a number
-    at or below the floor, so a NaN p fails its check.
+    blockwise path (the full state), both reading one compile. The
+    pinching algebra and the closed form draw their own. An outcome is
+    skipped only where p is a number at or below the floor, so a NaN p
+    fails its check.
     """
     rng = np.random.default_rng(seed)
     probability, averages, weak = [], [], []
@@ -216,14 +217,16 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
         diag_state = random_diagonal_density(model.dim_s, rng)
         full_state = random_density(model.dim_s, rng)
 
+        compiled = CompiledModel(model, observable)
+
         # Both coherence-irrelevance branches.
-        v = verify_theorem1(model, diag_state, observable, quantity)
+        v = verify_theorems(model, diag_state, observable, quantity, _compiled=compiled)["theorem1"]
         theorem1 += [v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]]
-        v = verify_theorem1(model, full_state, observable, quantity)
+        v = verify_theorems(model, full_state, observable, quantity, _compiled=compiled)["theorem1"]
         theorem1 += [v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]]
 
         # Blockwise sector path against the direct conditional values.
-        p, before, after = CompiledModel(model, observable).conditional_values(full_state.matrix)
+        p, before, after = compiled.conditional_values(full_state.matrix)
         before_bw, after_bw = blockwise_conditional_values(model, full_state, observable, quantity)
         kept = ~(p <= 1e-6)
         blockwise += [np.abs(before_bw - before)[kept], np.abs(after_bw - after)[kept]]

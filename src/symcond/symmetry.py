@@ -1,11 +1,11 @@
-"""Conservation-law checks, decoherence maps, and the theorem verifiers.
+"""Conservation-law checks, decoherence maps, and the theorem verifier.
 
 An additive conserved quantity is a pair (L_S, L_A) with the premeasurement
 unitary commuting with L_S ⊗ 1 + 1 ⊗ L_A. Decohering a state with respect
 to L means pinching it by the spectral projectors of L, which removes
 coherence between distinct eigenvalue sectors.
 
-The two verifiers measure (never assume) their hypotheses and report
+The verifier measures (never assumes) the hypotheses and reports
 residuals for every claimed equality, so a caller can tell "hypothesis
 broken, nothing asserted" apart from "hypothesis held, equality failed".
 """
@@ -213,7 +213,7 @@ class TheoremVerdict:
     hypotheses: dict[str, float]
     equalities: dict[str, float]
     tolerance: float
-    requires: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    requires: dict[str, tuple[str, ...]]
     # For a hypothesis whose residual is the max of several measurements,
     # those measurements in order, so a caller can report one of them
     # without measuring it again.
@@ -241,7 +241,7 @@ class TheoremVerdict:
     def equality_claimed(self, name: str) -> bool:
         """Whether the named equality's required hypotheses all hold."""
         held = self.hypotheses_held
-        return all(held[h] for h in self.requires.get(name, tuple(self.hypotheses)))
+        return all(held[h] for h in self.requires[name])
 
     @property
     def claimed_equalities_hold(self) -> bool:
@@ -272,7 +272,7 @@ def _shared_hypotheses(
 
 @dataclass
 class _TheoremInputs:
-    """What both verifiers share, each measured or built once."""
+    """What both theorems share, each measured or built once."""
 
     hypotheses: dict[str, float]  # conservation, yanase, observable_commutes
     model2: MeasurementModel  # the decohered-apparatus companion model
@@ -367,62 +367,6 @@ def _theorem2(
     return TheoremVerdict(hypotheses, equalities, tol, requires, {"symmetric_state": symmetric})
 
 
-def verify_theorem1(
-    model: MeasurementModel,
-    state: DensityState,
-    observable: ObservableOp,
-    quantity: ConservedQuantity,
-    tol: float = 1e-9,
-) -> TheoremVerdict:
-    """Check both coherence-irrelevance branches for a decohered apparatus.
-
-    Builds the companion model with apparatus state Φ_{L_A}(ϱ) and
-    measures:
-
-    hypotheses
-        ``conservation``        ‖[U, L_S⊗1 + 1⊗L_A]‖
-        ``yanase``              max_x ‖[P^x, L_A]‖ (pointer compatibility)
-        ``observable_commutes`` ‖[O, L_S]‖
-        ``state_commutes``      ‖[ρ, L_S]‖ (needed by the first branch only)
-
-    equalities
-        ``system_commutes_{before,after}``: values agree between the
-            original and decohered-apparatus models (claimed when all four
-            hypotheses hold);
-        ``ancilla_commutes_{before,after}``: on the decohered-apparatus
-            model, values agree between ρ and Φ_{L_S}(ρ) (claimed without
-            ``state_commutes``).
-    """
-    return _theorem1(_theorem_inputs(model, state, observable, quantity), state, quantity, tol)
-
-
-def verify_theorem2(
-    model: MeasurementModel,
-    state: DensityState,
-    observable: ObservableOp,
-    quantity: ConservedQuantity,
-    tol: float = 1e-9,
-) -> TheoremVerdict:
-    """Check the four-way equality chains for symmetric product states.
-
-    hypotheses
-        ``conservation``, ``yanase``, ``observable_commutes`` as in
-        :func:`verify_theorem1`;
-        ``symmetric_state``: transpose-invariance residual of ρ ⊗ ϱ in
-            the pinned eigenbasis, for both the original and the decohered
-            apparatus state (max of the two; both are kept, in that
-            order, in ``terms["symmetric_state"]``);
-        ``cross_elements``: max |Re| of doubly-off-diagonal elements of
-            U†(O ⊗ P^x)U.
-
-    equalities
-        ``before_chain``/``after_chain``: the max spread of the four
-        values over {ρ, Φ_{L_S}(ρ)} × {original, decohered apparatus}.
-    """
-    shared = _theorem_inputs(model, state, observable, quantity)
-    return _theorem2(shared, model, state, observable, quantity, tol)
-
-
 def verify_theorems(
     model: MeasurementModel,
     state: DensityState,
@@ -432,11 +376,39 @@ def verify_theorems(
     *,
     _compiled: CompiledModel | None = None,
 ) -> dict[str, TheoremVerdict]:
-    """``{"theorem1": verify_theorem1(...), "theorem2": verify_theorem2(...)}``
-    with the same results, measuring the shared hypotheses, compiling the
-    original and decohered-apparatus models and decohering the state once
-    for both. ``_compiled`` (private) is CompiledModel(model, observable)
-    when the caller has already built it."""
+    """Both coherence-irrelevance theorems: ``{"theorem1": …, "theorem2": …}``.
+
+    Builds the companion model with apparatus state Φ_{L_A}(ϱ) and
+    measures, once for both verdicts:
+
+    shared hypotheses
+        ``conservation``        ‖[U, L_S⊗1 + 1⊗L_A]‖
+        ``yanase``              max_x ‖[P^x, L_A]‖ (pointer compatibility)
+        ``observable_commutes`` ‖[O, L_S]‖
+
+    theorem 1 (two branches, for a decohered apparatus)
+        hypothesis ``state_commutes``: ‖[ρ, L_S]‖ (first branch only);
+        ``system_commutes_{before,after}``: values agree between the
+            original and decohered-apparatus models (claimed when all four
+            hypotheses hold);
+        ``ancilla_commutes_{before,after}``: on the decohered-apparatus
+            model, values agree between ρ and Φ_{L_S}(ρ) (claimed without
+            ``state_commutes``).
+
+    theorem 2 (four-way chains, for symmetric product states)
+        hypothesis ``symmetric_state``: transpose-invariance residual of
+            ρ ⊗ ϱ in the pinned eigenbasis, for both the original and the
+            decohered apparatus state (max of the two; both are kept, in
+            that order, in ``terms["symmetric_state"]``);
+        hypothesis ``cross_elements``: max |Re| of doubly-off-diagonal
+            elements of U†(O ⊗ P^x)U;
+        ``before_chain``/``after_chain``: the max spread of the four
+            values over {ρ, Φ_{L_S}(ρ)} × {original, decohered apparatus}
+            (claimed when every hypothesis holds).
+
+    ``_compiled`` (private) is CompiledModel(model, observable) when the
+    caller has already built it.
+    """
     shared = _theorem_inputs(model, state, observable, quantity, _compiled)
     return {
         "theorem1": _theorem1(shared, state, quantity, tol),

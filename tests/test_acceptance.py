@@ -27,8 +27,7 @@ from symcond import (
     induced_povm,
     jc_unitary_closed_form,
     load_scenario,
-    verify_theorem1,
-    verify_theorem2,
+    verify_theorems,
 )
 from symcond.cli import main
 from symcond.jaynes_cummings import number_operator, number_pointer
@@ -190,7 +189,7 @@ def test_criterion_4_theorem1_suite():
 
         # branch with a commuting system state
         rho_diag = random_diagonal_density(2, rng)
-        v = verify_theorem1(model, rho_diag, obs, q)
+        v = verify_theorems(model, rho_diag, obs, q)["theorem1"]
         assert v.all_hypotheses_hold
         worst_a = max(
             worst_a, v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]
@@ -198,7 +197,7 @@ def test_criterion_4_theorem1_suite():
 
         # branch that decoheres the state instead
         rho_any = random_density(2, rng)
-        v = verify_theorem1(model, rho_any, obs, q)
+        v = verify_theorems(model, rho_any, obs, q)["theorem1"]
         worst_b = max(
             worst_b, v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]
         )
@@ -243,7 +242,7 @@ def test_criterion_4_theorem1_suite():
     counter_ok = True
     details = []
     for name, (model, rho, obs, q) in cases.items():
-        v = verify_theorem1(model, rho, obs, q)
+        v = verify_theorems(model, rho, obs, q)["theorem1"]
         others = max(res for hyp, res in v.hypotheses.items() if hyp != name)
         broken_eq = max(v.equalities.values())
         good = v.hypotheses[name] > 1e-3 and others < 1e-9 and broken_eq > 1e-3
@@ -272,12 +271,12 @@ def test_criterion_5_theorem2_suite():
 
         c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
         sym = DensityState(np.array([[s * s, s * c], [s * c, c * c]], dtype=complex))
-        v = verify_theorem2(model, sym, obs, q)
+        v = verify_theorems(model, sym, obs, q)["theorem2"]
         worst_hold = max(worst_hold, max(v.hypotheses.values()), max(v.equalities.values()))
 
         vec = np.array([np.exp(1j * 0.4 * np.pi) * s, c])
         asym = DensityState(np.outer(vec, vec.conj()))
-        v = verify_theorem2(model, asym, obs, q)
+        v = verify_theorems(model, asym, obs, q)["theorem2"]
         assert v.hypotheses["symmetric_state"] > 1e-3
         worst_break = min(worst_break, max(v.equalities.values()))
 

@@ -947,7 +947,7 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
         "random_number_conserving_model",
         "random_hermitian",
         "jc_unitary_closed_form",
-        "verify_theorem1",
+        "verify_theorems",
         "blockwise_conditional_values",
     ):
         recording(name)
@@ -966,14 +966,32 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
         conserving,
         "random_diagonal_density",
         "random_density",
-        "verify_theorem1",
-        "verify_theorem1",
+        "verify_theorems",
+        "verify_theorems",
         "blockwise_conditional_values",
     ] * 10 + ["random_hermitian", "random_density"] * 20 + ["jc_unitary_closed_form"] * 15
     assert log == expected
     # Every outcome's instrument takes the instance's 5 states plus Oρ₀.
     assert len(models) == 20
     assert [operands[id(m)] for m in models] == [6 * len(m.outcomes) for m in models]
+
+
+def test_selftest_compiles_each_instance_once(monkeypatch):
+    # One compile per unconstrained instance (20), and per conserving
+    # instance one shared by both theorem calls and the blockwise check,
+    # plus each theorem call's decohered-apparatus twin (10 × 3).
+    from symcond.engine import CompiledModel
+
+    compiles = []
+    init = CompiledModel.__init__
+
+    def counting(self, *args, **kwargs):
+        compiles.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledModel, "__init__", counting)
+    selftest_checks(42)
+    assert len(compiles) == 20 + 10 * 3
 
 
 def test_undecodable_scenario_is_parse_error(tmp_path, capsys):

@@ -65,8 +65,6 @@ EXPORTS = [
     "qubit_coherent_state",
     "unitary_from_generator",
     "validate",
-    "verify_theorem1",
-    "verify_theorem2",
     "verify_theorems",
     "weak_value",
     "__version__",
@@ -75,7 +73,7 @@ EXPORTS = [
 
 def test_exports_are_pinned():
     assert symcond.__all__ == EXPORTS
-    assert len(EXPORTS) == 47
+    assert len(EXPORTS) == 45
     assert all(hasattr(symcond, name) for name in EXPORTS)
 
 

@@ -31,12 +31,10 @@ from symcond import (
     load_scenario,
     parse_scenario,
     validate,
-    verify_theorem1,
-    verify_theorem2,
     verify_theorems,
 )
 from symcond.jaynes_cummings import ladder_lower, number_operator, number_pointer
-from symcond.linalg import frob, hermitian_eig, kron, unitary_from_generator
+from symcond.linalg import commutator, frob, hermitian_eig, kron, unitary_from_generator
 from symcond.oracles import blockwise_conditional_values
 from symcond.sampling import (
     random_conserving_unitary,
@@ -523,7 +521,7 @@ def test_check_cross_elements_rotated_route_propagates_nan():
 
 def test_theorem2_equalities_propagate_nan():
     model, rho, obs, q = _nan_observable_instance()
-    verdict = verify_theorem2(model, rho, obs, q)
+    verdict = verify_theorems(model, rho, obs, q)["theorem2"]
     assert np.isnan(verdict.equalities["before_chain"])
     assert np.isnan(verdict.equalities["after_chain"])
     assert not verdict.all_equalities_hold
@@ -589,29 +587,29 @@ def test_check_cross_elements_diagonal_route_matches_dense_sandwich(kind, dim_s,
         assert got < 1e-10 if dim_s == 2 else got > 1.0
 
 
-def test_verify_theorem1_random_conserving_instances():
+def test_theorem1_random_conserving_instances():
     rng = np.random.default_rng(34)
     for _ in range(10):
         model, q = random_number_conserving_model(2, 3, rng)
         obs = random_diagonal_observable(2, rng)
         rho_diag = random_diagonal_density(2, rng)
-        v = verify_theorem1(model, rho_diag, obs, q)
+        v = verify_theorems(model, rho_diag, obs, q)["theorem1"]
         assert v.all_hypotheses_hold
         assert v.all_equalities_hold
         assert v.claimed_equalities_hold
         # branch with a non-commuting state: only the decohered-model pair
         # is claimed, and it must still hold
         rho_any = random_density(2, rng)
-        v2 = verify_theorem1(model, rho_any, obs, q)
+        v2 = verify_theorems(model, rho_any, obs, q)["theorem1"]
         assert v2.equalities["ancilla_commutes_before"] < 1e-9
         assert v2.equalities["ancilla_commutes_after"] < 1e-9
         assert v2.claimed_equalities_hold
 
 
-def test_verify_theorem1_flags_noncommuting_observable():
+def test_theorem1_flags_noncommuting_observable():
     setup = load_scenario(fig1_scenario_path())
     rho = real_qubit_state(np.pi / 4)
-    v = verify_theorem1(setup.model, rho, ObservableOp(SIGMA_X), setup.conserved)
+    v = verify_theorems(setup.model, rho, ObservableOp(SIGMA_X), setup.conserved)["theorem1"]
     assert v.hypotheses["observable_commutes"] > 1e-3
     assert not v.all_hypotheses_hold
     # no claim is made, so a broken equality does not fail the verdict
@@ -619,12 +617,12 @@ def test_verify_theorem1_flags_noncommuting_observable():
     assert v.claimed_equalities_hold
 
 
-def test_verify_theorem1_state_coherence_breaks_first_branch():
+def test_theorem1_state_coherence_breaks_first_branch():
     # Coherent system state at phase pi/2: the state hypothesis fails and
     # the model-vs-decohered-model equalities really do break.
     setup = load_scenario(fig1_scenario_path())
     rho = setup.system_state(np.pi / 2)
-    v = verify_theorem1(setup.model, rho, setup.observable, setup.conserved)
+    v = verify_theorems(setup.model, rho, setup.observable, setup.conserved)["theorem1"]
     assert v.hypotheses["state_commutes"] > 0.1
     assert v.equalities["system_commutes_before"] > 1e-3
     assert v.equalities["system_commutes_after"] > 1e-3
@@ -634,19 +632,19 @@ def test_verify_theorem1_state_coherence_breaks_first_branch():
     assert v.claimed_equalities_hold
 
 
-def test_verify_theorem2_fig1_symmetric_phases():
+def test_theorem2_fig1_symmetric_phases():
     setup = load_scenario(fig1_scenario_path())
     for phi in (0.0, np.pi):
-        v = verify_theorem2(setup.model, setup.system_state(phi), setup.observable, setup.conserved)
+        v = verify_theorems(setup.model, setup.system_state(phi), setup.observable, setup.conserved)["theorem2"]
         assert v.all_hypotheses_hold
         assert max(v.equalities.values()) < 1e-9
 
 
-def test_verify_theorem2_asymmetric_phase_breaks_chain():
+def test_theorem2_asymmetric_phase_breaks_chain():
     setup = load_scenario(fig1_scenario_path())
-    v = verify_theorem2(
+    v = verify_theorems(
         setup.model, setup.system_state(0.4 * np.pi), setup.observable, setup.conserved
-    )
+    )["theorem2"]
     assert v.hypotheses["symmetric_state"] > 0.1
     assert max(v.equalities.values()) > 1e-3
     assert v.claimed_equalities_hold  # nothing is claimed when a hypothesis fails
@@ -700,7 +698,7 @@ def test_theorem1_is_sound_on_drawn_conserving_instances():
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(conserving_instances())
     def check(instance):
-        v = verify_theorem1(*instance)
+        v = verify_theorems(*instance)["theorem1"]
         broken = [n for n in v.equalities if v.equality_claimed(n) and not v.equalities_held[n]]
         assert not broken, (broken, v.hypotheses, v.equalities)
         for name in reached:
@@ -740,7 +738,7 @@ def test_theorem2_is_sound_on_drawn_conserving_instances():
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(symmetric_instances())
     def check(instance):
-        v = verify_theorem2(*instance)
+        v = verify_theorems(*instance)["theorem2"]
         if v.all_hypotheses_hold:
             assert v.all_equalities_hold, (v.hypotheses, v.equalities)
             reached.append(max(v.equalities.values()))
@@ -782,7 +780,7 @@ def theorem2_counterexample(broken: str):
 @pytest.mark.parametrize("broken", ["conservation", "yanase", "observable_commutes", "cross_elements"])
 def test_theorem2_counterexample_breaks_only_one_hypothesis(broken):
     # Each hypothesis is needed: with it alone broken, a chain fails.
-    v = verify_theorem2(*theorem2_counterexample(broken))
+    v = verify_theorems(*theorem2_counterexample(broken))["theorem2"]
     assert [h for h, held in v.hypotheses_held.items() if not held] == [broken]
     assert v.hypotheses[broken] > 1e-2
     assert max(v.equalities.values()) > 1e-3, v.equalities
@@ -792,16 +790,21 @@ def test_theorem2_counterexample_breaks_only_one_hypothesis(broken):
 def test_a_hypothesis_at_the_tolerance_is_broken():
     # Held means strictly below the tolerance.
     instance = theorem2_counterexample("cross_elements")
-    residual = verify_theorem2(*instance).hypotheses["cross_elements"]
-    v = verify_theorem2(*instance, tol=residual)
+    residual = verify_theorems(*instance)["theorem2"].hypotheses["cross_elements"]
+    v = verify_theorems(*instance, tol=residual)["theorem2"]
     assert not v.hypotheses_held["cross_elements"]
     assert v.hypotheses_held["conservation"]
     assert not v.equality_claimed("before_chain")
 
 
-def test_verify_theorems_equals_the_single_verifiers():
+def residual_bytes(residuals) -> list:
+    return [(name, np.float64(r).tobytes()) for name, r in residuals.items()]
+
+
+def test_verify_theorems_shares_without_moving_a_bit():
     # Sharing the hypotheses, compiles and decohered state must not move a
-    # bit: each verdict equals the one its own verifier returns.
+    # bit: a caller's compile gives the same verdicts field for field, and
+    # each hypothesis residual is the one its checker gives called alone.
     rng = np.random.default_rng(35)
     setup = load_scenario(fig1_scenario_path())
     cases = [(setup.model, setup.system_state(0.4), setup.observable, setup.conserved)]
@@ -810,22 +813,46 @@ def test_verify_theorems_equals_the_single_verifiers():
         cases.append((model, random_density(2, rng), random_diagonal_observable(2, rng), q))
     for model, rho, obs, q in cases:
         verdicts = verify_theorems(model, rho, obs, q, 1e-9)
-        assert list(verdicts) == ["theorem1", "theorem2"]
-        assert verdicts["theorem1"] == verify_theorem1(model, rho, obs, q, 1e-9)
-        assert verdicts["theorem2"] == verify_theorem2(model, rho, obs, q, 1e-9)
-        assert list(verdicts["theorem1"].hypotheses) == list(verify_theorem1(model, rho, obs, q).hypotheses)
-        assert list(verdicts["theorem2"].hypotheses) == list(verify_theorem2(model, rho, obs, q).hypotheses)
+        reused = verify_theorems(model, rho, obs, q, 1e-9, _compiled=CompiledModel(model, obs))
+        assert list(verdicts) == list(reused) == ["theorem1", "theorem2"]
+        for name, verdict in verdicts.items():
+            assert verdict == reused[name]
+            for part in ("hypotheses", "equalities"):
+                assert residual_bytes(getattr(verdict, part)) == residual_bytes(getattr(reused[name], part))
+
+        decohered = DensityState(decohere(model.apparatus_state.matrix, q.apparatus_part))
+        symmetric = (
+            check_symmetric_product_state(rho, model.apparatus_state, q),
+            check_symmetric_product_state(rho, decohered, q),
+        )
+        shared = {
+            "conservation": check_conservation(model, q),
+            "yanase": check_yanase(model, q),
+            "observable_commutes": frob(commutator(obs.matrix, q.system_part.matrix)),
+        }
+        alone = {
+            "theorem1": {**shared, "state_commutes": frob(commutator(rho.matrix, q.system_part.matrix))},
+            "theorem2": {
+                **shared,
+                "symmetric_state": max(symmetric),
+                "cross_elements": check_cross_elements_imaginary(model, obs, q),
+            },
+        }
+        for name, want in alone.items():
+            assert residual_bytes(verdicts[name].hypotheses) == residual_bytes(want), name
+        terms = verdicts["theorem2"].terms["symmetric_state"]
+        assert np.array(terms).tobytes() == np.array(symmetric).tobytes()
 
 
 def per_cell_spreads(cells):
     """Spreads of before and after over (compiled, state) cells, one
     conditional_values() call per cell on its state alone: the reference
-    for the stacked grid. An outcome not above P_FLOOR in any cell is
-    skipped."""
+    for the stacked grid. An outcome at or below P_FLOOR in any cell is
+    skipped; a NaN p is kept."""
     evaluations = [[a.tolist() for a in compiled.conditional_values(state.matrix)] for compiled, state in cells]
     before, after = [], []
     for i in range(len(evaluations[0][0])):
-        if not all(p[i] > P_FLOOR for p, _, _ in evaluations):
+        if any(p[i] <= P_FLOOR for p, _, _ in evaluations):
             continue
         for deviations, xs in ((before, [v[1][i] for v in evaluations]), (after, [v[2][i] for v in evaluations])):
             deviations.extend(x - min(xs) for x in xs)
@@ -876,6 +903,10 @@ def grid_cases():
     mixing = MeasurementModel(DensityState(np.diag([1.0, 0.0])), cnot @ kron(hadamard, np.eye(2)), number_pointer(2))
     cases.append(("partly zero", mixing, DensityState(np.full((2, 2), 0.5)), ObservableOp(np.diag([-1.0, 1.0])), q))
     cases.append(("nan", *_nan_observable_instance()))
+    # ϱ = diag(NaN, 1): every cell's p is NaN, which is no zero-probability
+    # outcome, so the NaN values enter every spread.
+    nan_p = MeasurementModel(DensityState(np.diag([np.nan, 1.0])), np.eye(4, dtype=complex), number_pointer(2))
+    cases.append(("nan p", nan_p, DensityState(np.full((2, 2), 0.5)), ObservableOp(np.diag([-1.0, 1.0])), q))
     return cases
 
 
@@ -891,7 +922,7 @@ def test_equalities_equal_per_cell_reports_bit_for_bit(kind, model, rho, obs, q)
         p, _, _ = CompiledModel(model, obs).conditional_values(rho.matrix)
         assert p[model.outcomes.index("1")] < 1e-12 < p[model.outcomes.index("0")]
         assert all(np.isfinite(v) for v in got.values())
-    assert all(np.isnan(v) for v in got.values()) == (kind == "nan")
+    assert all(np.isnan(v) for v in got.values()) == (kind in ("nan", "nan p"))
 
 
 @pytest.mark.parametrize(

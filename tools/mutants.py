@@ -99,6 +99,12 @@ MUTANTS = (
         "decohered = model.apparatus_state",
     ),
     (
+        "_theorem1: ancilla branch on the original model",
+        "symmetry",
+        "shared.spreads((_DECOHERED, _RHO), (_DECOHERED, _PINCHED))",
+        "shared.spreads((_ORIGINAL, _RHO), (_ORIGINAL, _PINCHED))",
+    ),
+    (
         "_clamped: return p unchanged",
         "engine",
         "    p = np.where(0.0 > p, 0.0, p)\n    return np.where(1.0 < p, 1.0, p)",
