@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from symcond import fig1_scenario_path, load_scenario
-from symcond.report import sweep_records
+from symcond.report import sweep_columns
 
 
 def ascii_plot(phis: np.ndarray, values: np.ndarray, width: int = 61, height: int = 15) -> None:
@@ -38,13 +38,13 @@ def ascii_plot(phis: np.ndarray, values: np.ndarray, width: int = 61, height: in
 
 def main() -> None:
     scenario = load_scenario(fig1_scenario_path())  # 201 points over [0, 2pi]
-    records, errors = sweep_records(scenario, scenario.sweep.grid())
-    assert not errors
+    columns = sweep_columns(scenario, scenario.sweep.grid())
+    assert not columns.errors
 
     for outcome in ("+", "-"):
-        rows = [r for r in records if r.outcome == outcome]
-        phis = np.array([r.phi for r in rows])
-        diff = np.array([r.difference for r in rows])
+        rows = columns.outcome == columns.labels.index(outcome)
+        phis = columns.phi[rows]
+        diff = columns.difference[rows]
         print(f"\n=== outcome '{outcome}': delta(coherent) - delta(decohered) ===")
         ascii_plot(phis, diff)
         k = int(np.argmax(np.abs(diff)))
@@ -57,9 +57,9 @@ def main() -> None:
 
     # the decohered branch is phase-independent by construction, so its
     # delta is one horizontal line per outcome
-    dec = sorted({round(r.delta_decohered, 12) for r in records if r.outcome == "+"})
+    plus = columns.outcome == columns.labels.index("+")
+    dec = sorted({round(d, 12) for d in columns.delta_decohered[plus].tolist()})
     print(f"\ndecohered-branch delta for '+' across the whole sweep: {dec}")
-
 
 if __name__ == "__main__":
     main()

@@ -7,7 +7,9 @@ exit codes), ``selftest`` (the seeded randomized property checks of
 :mod:`symcond.oracles`). :mod:`symcond.report` forms and renders every
 report; this module parses the arguments, writes stdout and ``--out``,
 and maps each error to its exit code: 0 ok, 2 parse/schema error,
-3 invariant violation, 4 I/O failure, 5 assertion failed.
+3 invariant violation (an evaluation that overflows to a non-finite
+value included), 4 I/O failure, 5 assertion failed. Sweeps are written
+piece by piece as ``sweep_chunks`` forms them.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .oracles import selftest_checks
-from .report import render_sweep, render_theorems, run_report, run_report_csv, sweep_records, theorem_verdicts, to_json
+from .report import render_theorems, run_report, run_report_csv, sweep_chunks, sweep_columns, theorem_verdicts, to_json
 from .scenario import (
     MAX_SWEEP_ROWS,
     InvariantViolation,
@@ -68,18 +72,18 @@ def cmd_sweep(args) -> int:
     outcomes = len(scenario.model.outcomes)
     if steps * outcomes > MAX_SWEEP_ROWS:
         raise ScenarioError("sweep.steps", f"{steps} points × {outcomes} outcomes exceed {MAX_SWEEP_ROWS} rows")
-    records, errors = sweep_records(scenario, SweepSpec(start, stop, steps).grid())
-    sys.stdout.write(render_sweep(records, errors, args.format))
+    columns = sweep_columns(scenario, SweepSpec(start, stop, steps).grid())
+    sys.stdout.writelines(sweep_chunks(columns, args.format))
     return EXIT_OK
 
 
 def cmd_fig1(args) -> int:
     scenario = load_scenario(fig1_scenario_path())
-    records, errors = sweep_records(scenario, scenario.sweep.grid())
+    columns = sweep_columns(scenario, scenario.sweep.grid())
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_sweep(records, errors, args.format))
+        fh.writelines(sweep_chunks(columns, args.format))
     if not args.quiet:
-        print(f"wrote {len(records)} records to {args.out}")
+        print(f"wrote {len(columns.phi)} records to {args.out}")
     return EXIT_OK
 
 
@@ -211,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflowing evaluation is reported once, as the InvariantViolation
+        # of its non-finite result, not also as numpy warnings on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -46,7 +46,16 @@ from .sampling import (
     random_number_conserving_model,
     random_observable,
 )
-from .symmetry import ConservedQuantity, _shared_hypotheses, _worst, decohere, verify_theorems
+from .symmetry import (
+    ConservedQuantity,
+    _companion,
+    _shared_hypotheses,
+    _state_grid,
+    _theorem1,
+    _TheoremInputs,
+    _worst,
+    decohere,
+)
 
 
 def apply_instrument(
@@ -175,7 +184,8 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
     states), the weak-value check and the average identities (the first
     state). Each of 10 number-conserving instances (a diagonal observable,
     a diagonal and a full state) feeds theorem 1 (both states) and the
-    blockwise path (the full state), both reading one compile. The
+    blockwise path (the full state), both reading one compile; theorem 1
+    alone is measured, with one compile of the decohered-apparatus twin. The
     pinching algebra and the closed form draw their own. An outcome is
     skipped only where p is a number at or below the floor, so a NaN p
     fails its check.
@@ -219,11 +229,14 @@ def selftest_checks(seed: int) -> list[tuple[str, float, float]]:
 
         compiled = CompiledModel(model, observable)
 
-        # Both coherence-irrelevance branches.
-        v = verify_theorems(model, diag_state, observable, quantity, _compiled=compiled)["theorem1"]
-        theorem1 += [v.equalities["system_commutes_before"], v.equalities["system_commutes_after"]]
-        v = verify_theorems(model, full_state, observable, quantity, _compiled=compiled)["theorem1"]
-        theorem1 += [v.equalities["ancilla_commutes_before"], v.equalities["ancilla_commutes_after"]]
+        # Both coherence-irrelevance branches of theorem 1, from one
+        # companion compile and one measurement of the shared hypotheses.
+        companion, compiles = _companion(model, observable, quantity, compiled)
+        hypotheses = _shared_hypotheses(model, observable, quantity)
+        for state, branch in ((diag_state, "system"), (full_state, "ancilla")):
+            shared = _TheoremInputs(hypotheses, companion, _state_grid(compiles, state, quantity))
+            v = _theorem1(shared, state, quantity, 1e-9)
+            theorem1 += [v.equalities[f"{branch}_commutes_before"], v.equalities[f"{branch}_commutes_after"]]
 
         # Blockwise sector path against the direct conditional values.
         p, before, after = compiled.conditional_values(full_state.matrix)

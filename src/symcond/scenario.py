@@ -47,7 +47,9 @@ DEFAULT_TOLERANCE = 1e-9
 # otherwise request a matrix of many gigabytes.
 MAX_JC_DIMENSION = 2048
 # Largest sweep, in rows (grid points × outcomes), checked before the grid
-# is built: a sweep holds ~1 kB per row at once, so this keeps it ~200 MB.
+# is built. A sweep holds its rows as numeric columns (48 B per row) and
+# writes them in chunks: at this cap a fig1 sweep peaked at 52-55 MB RSS
+# in CSV or JSON against 32 MB at 4 rows, ~0.1 kB per row.
 MAX_SWEEP_ROWS = 200_000
 
 NAMED_OBSERVABLES = {

@@ -296,6 +296,30 @@ class _TheoremInputs:
         return _worst(0.0, *before), _worst(0.0, *after)
 
 
+def _companion(
+    model: MeasurementModel,
+    observable: ObservableOp,
+    quantity: ConservedQuantity,
+    compiled: CompiledModel | None = None,
+) -> tuple[MeasurementModel, tuple[CompiledModel, CompiledModel]]:
+    """The decohered-apparatus companion model, and the compiles of the
+    original and the companion; ``compiled`` is reused when the caller
+    already compiled (model, observable)."""
+    decohered = DensityState(decohere(model.apparatus_state.matrix, quantity.apparatus_spectrum))
+    model2 = copy.copy(model)  # only ϱ differs: U, the pointer and U's band (read above) are shared
+    model2.apparatus_state = decohered
+    return model2, (compiled or CompiledModel(model, observable), CompiledModel(model2, observable))
+
+
+def _state_grid(
+    compiles: tuple[CompiledModel, CompiledModel], state: DensityState, quantity: ConservedQuantity
+) -> np.ndarray:
+    """The ``_TheoremInputs.grid`` of ``state``: the stack [ρ, Φ_{L_S}(ρ)]
+    evaluated under each compile, one call each."""
+    states = np.stack([state.matrix, decohere(state.matrix, quantity.system_spectrum)])
+    return np.stack([c.conditional_values(states) for c in compiles], axis=1)
+
+
 def _theorem_inputs(
     model: MeasurementModel,
     state: DensityState,
@@ -304,16 +328,10 @@ def _theorem_inputs(
     compiled: CompiledModel | None = None,
 ) -> _TheoremInputs:
     """The shared inputs; ``compiled`` is reused when the caller already
-    compiled (model, observable). The stack [ρ, Φ_{L_S}(ρ)] is evaluated
-    under the original and the decohered-apparatus compile, one call each."""
-    compiled = compiled or CompiledModel(model, observable)
-    decohered = DensityState(decohere(model.apparatus_state.matrix, quantity.apparatus_spectrum))
-    model2 = copy.copy(model)  # only ϱ differs: U, the pointer and U's band (read above) are shared
-    model2.apparatus_state = decohered
-    states = np.stack([state.matrix, decohere(state.matrix, quantity.system_spectrum)])
-    compiles = (compiled, CompiledModel(model2, observable))
-    grid = np.stack([c.conditional_values(states) for c in compiles], axis=1)
-    return _TheoremInputs(_shared_hypotheses(model, observable, quantity), model2, grid)
+    compiled (model, observable)."""
+    model2, compiles = _companion(model, observable, quantity, compiled)
+    hypotheses = _shared_hypotheses(model, observable, quantity)
+    return _TheoremInputs(hypotheses, model2, _state_grid(compiles, state, quantity))
 
 
 def _theorem1(

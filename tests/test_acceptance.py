@@ -33,7 +33,7 @@ from symcond.cli import main
 from symcond.jaynes_cummings import number_operator, number_pointer
 from symcond.linalg import frob
 from symcond.oracles import apply_instrument, blockwise_conditional_values
-from symcond.report import sweep_records
+from symcond.report import sweep_columns
 from symcond.sampling import (
     random_density,
     random_diagonal_density,
@@ -98,34 +98,34 @@ def test_criterion_1_fig1_reproduction():
     setup = load_scenario(fig1_scenario_path())
     grid = np.linspace(0.0, 2.0 * np.pi, 201)
     start = time.perf_counter()
-    records, errors = sweep_records(setup, grid)
+    columns = sweep_columns(setup, grid)
     elapsed = time.perf_counter() - start
-    assert errors == []
-    assert len(records) == 402
+    assert columns.errors == []
+    assert len(columns.phi) == 402
 
-    by_key = {(r.phi, r.outcome): r for r in records}
-    flat = {}
-    for (phi, label), r in by_key.items():
-        flat[(phi, label)] = r
+    # One row per (phi, label): (probability, delta_coherent, delta_decohered, difference).
+    flat = {
+        (phi, columns.labels[o]): row
+        for o, phi, *row in zip(
+            columns.outcome.tolist(),
+            columns.phi.tolist(),
+            columns.probability.tolist(),
+            columns.delta_coherent.tolist(),
+            columns.delta_decohered.tolist(),
+            columns.difference.tolist(),
+        )
+    }
 
     # pinned phases: coherent and decohered deltas agree at 0 and pi,
     # split at pi/2
-    worst_pinned = max(
-        abs(flat[(phi, lab)].difference) for phi in (grid[0], grid[100]) for lab in ("+", "-")
-    )
-    split = max(abs(flat[(grid[50], lab)].difference) for lab in ("+", "-"))
+    worst_pinned = max(abs(flat[(phi, lab)][3]) for phi in (grid[0], grid[100]) for lab in ("+", "-"))
+    split = max(abs(flat[(grid[50], lab)][3]) for lab in ("+", "-"))
 
     oracle = brute_force_curve(grid)
     worst = 0.0
     for (phi, label), (p, d_coh, d_dec, diff) in oracle.items():
         r = flat[(phi, label)]
-        worst = max(
-            worst,
-            abs(r.probability - p),
-            abs(r.delta_coherent - d_coh),
-            abs(r.delta_decohered - d_dec),
-            abs(r.difference - diff),
-        )
+        worst = max(worst, *(abs(a - b) for a, b in zip(r, (p, d_coh, d_dec, diff))))
 
     ok = elapsed < 5.0 and worst_pinned < 1e-9 and split > 1e-3 and worst < 1e-9
     report(

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import tracemalloc
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +28,7 @@ from symcond.cli import (
     main,
 )
 from symcond.oracles import selftest_checks
-from symcond.report import SweepRecord, run_report, sweep_records
+from symcond.report import SWEEP_CHUNK, run_report, sweep_chunks, sweep_columns
 from symcond.sampling import (
     random_conserving_unitary,
     random_density,
@@ -204,6 +206,41 @@ def test_overflowing_unitary_prints_only_the_error_line(tmp_path, banded):
     assert proc.stderr == "error: model: invariant 'unitarity' violated (residual nan)\n"
 
 
+def overflowing_observable_doc():
+    # Hermitian and finite, so it passes validation, yet entries near the
+    # largest double overflow the conditional values and the residuals.
+    doc = fig1_doc()
+    big = 1.7e308
+    doc["observable"] = {"matrix": [[[big, 0.0], [big, 0.0]], [[big, 0.0], [-big, 0.0]]]}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("run", []),
+        ("run", ["--format", "csv"]),
+        ("sweep", []),
+        ("sweep", ["--format", "json"]),
+        ("theorems", []),
+        ("theorems", ["--format", "json"]),
+    ],
+)
+def test_overflowing_evaluation_is_invariant_violation(command, flags, tmp_path, capsys):
+    # Every command that evaluates a scenario file, in every format: one
+    # error line, nothing on stdout, exit 3, and no numpy warning (turned
+    # into an exception here). fig1 reads only the bundled scenario.
+    path = write_doc(tmp_path, overflowing_observable_doc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, path, *flags])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INVARIANT
+    assert captured.out == ""
+    assert captured.err.startswith("error: evaluation: invariant 'finite values' violated (residual ")
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_with_explicit_grid(capsys):
     rc = main(["sweep", FIG1, "--from", "0", "--to", "3.14159", "--steps", "3", "--format", "json"])
     assert rc == EXIT_OK
@@ -243,26 +280,9 @@ def test_sweep_scenario_grid_is_used(tmp_path, capsys):
 
 
 def test_sweep_reports_zero_probability_outcomes(tmp_path, capsys):
-    # A swap hands the system state to the apparatus, so the pointer reads
-    # the coherent state in the |±⟩ basis: at phase 0 (and 2π) outcome "-"
-    # is impossible, at phase π outcome "+" is.
-    def pairs(rows):
-        return [[[float(x), 0.0] for x in row] for row in rows]
-
-    doc = {
-        "model": {
-            "kind": "explicit",
-            "unitary": pairs([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
-            "apparatus_state": {"matrix": pairs([[1, 0], [0, 0]])},
-            "pointer": {
-                "outcomes": ["+", "-"],
-                "projectors": [pairs([[0.5, 0.5], [0.5, 0.5]]), pairs([[0.5, -0.5], [-0.5, 0.5]])],
-            },
-        },
-        "system_state": {"coherent": {"polar": np.pi / 2, "phase": 0.0}},
-        "observable": "sigma_z",
-        "conserved": {"system": pairs([[0, 0], [0, 1]]), "apparatus": pairs([[0, 0], [0, 1]])},
-    }
+    # The swap scenario: outcome "-" is impossible at phase 0 and 2π,
+    # outcome "+" at phase π.
+    doc = swap_doc()
     rc = main(["sweep", write_doc(tmp_path, doc), "--from", "0", "--to", str(2 * np.pi), "--steps", "5"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
@@ -512,7 +532,7 @@ def test_sweep_size_is_bounded_before_building(source, tmp_path, capsys):
 def per_point_sweep(scenario, grid):
     """The sweep evaluated one grid point at a time, one conditional_values()
     call per state, and one outcome at a time: the reference for the
-    stacked sweep."""
+    stacked sweep, as one dict per row and the error lines."""
     from symcond import P_FLOOR, CompiledModel, ZeroProbabilityOutcome, decohere
 
     compiled = CompiledModel(scenario.model, scenario.observable)
@@ -532,8 +552,44 @@ def per_point_sweep(scenario, grid):
                 errors.append(f"phi={format(float(phi), '.17g')} outcome={outcome}: {ZeroProbabilityOutcome(outcome, low[0])}")
                 continue
             delta, delta_dec = after - before, after_dec - before_dec
-            records.append(SweepRecord(float(phi), outcome, p, delta, delta_dec, delta - delta_dec))
+            records.append(
+                {
+                    "phi": float(phi),
+                    "outcome": outcome,
+                    "probability": p,
+                    "delta_coherent": delta,
+                    "delta_decohered": delta_dec,
+                    "difference": delta - delta_dec,
+                }
+            )
     return records, errors
+
+
+def column_records(columns):
+    """The sweep columns as one dict per row, as ``per_point_sweep`` gives them."""
+    return [
+        {
+            "phi": phi,
+            "outcome": columns.labels[o],
+            "probability": p,
+            "delta_coherent": dc,
+            "delta_decohered": dd,
+            "difference": diff,
+        }
+        for o, phi, p, dc, dd, diff in zip(
+            *(
+                c.tolist()
+                for c in (
+                    columns.outcome,
+                    columns.phi,
+                    columns.probability,
+                    columns.delta_coherent,
+                    columns.delta_decohered,
+                    columns.difference,
+                )
+            )
+        )
+    ]
 
 
 @pytest.mark.parametrize("zero_outcome", [False, True])
@@ -546,9 +602,129 @@ def test_stacked_sweep_equals_per_point_reports(zero_outcome, tmp_path):
         doc["model"]["apparatus_state"]["coherent"]["polar"] = np.pi
     scenario = load_scenario(write_doc(tmp_path, doc))
     grid = np.linspace(-1.3, 7.9, 37)
-    records, errors = sweep_records(scenario, grid)
-    assert (records, errors) == per_point_sweep(scenario, grid)
-    assert bool(errors) == zero_outcome
+    columns = sweep_columns(scenario, grid)
+    assert (column_records(columns), columns.errors) == per_point_sweep(scenario, grid)
+    assert bool(columns.errors) == zero_outcome
+
+
+def reference_csv(records, errors):
+    """The per-record CSV renderer the chunked writer replaced: the csv
+    module's quoting, one ``format(x, ".17g")`` per float."""
+    buf = io.StringIO()
+    buf.write("# conditional-change sweep: difference = delta_coherent - delta_decohered\n")
+    buf.write("# columns: 1:phi(rad) 2:outcome 3:probability 4:delta_coherent 5:delta_decohered 6:difference\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["phi", "outcome", "probability", "delta_coherent", "delta_decohered", "difference"])
+    for r in records:
+        writer.writerow(
+            [format(r[key], ".17g") if key != "outcome" else r[key] for key in r]
+        )
+    for e in errors:
+        buf.write(f"# error: {e}\n")
+    return buf.getvalue()
+
+
+def reference_json(records, errors):
+    """The per-record JSON renderer the chunked writer replaced: one
+    ``json.dumps`` of the whole payload."""
+    return json.dumps({"records": records, "errors": errors}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def swap_doc():
+    """A swap hands the system state to the apparatus, so the pointer reads
+    the coherent state in the |±⟩ basis: at phase 0 (and 2π) outcome "-"
+    is impossible, at phase π outcome "+" is."""
+
+    def pairs(rows):
+        return [[[float(x), 0.0] for x in row] for row in rows]
+
+    return {
+        "model": {
+            "kind": "explicit",
+            "unitary": pairs([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+            "apparatus_state": {"matrix": pairs([[1, 0], [0, 0]])},
+            "pointer": {
+                "outcomes": ["+", "-"],
+                "projectors": [pairs([[0.5, 0.5], [0.5, 0.5]]), pairs([[0.5, -0.5], [-0.5, 0.5]])],
+            },
+        },
+        "system_state": {"coherent": {"polar": np.pi / 2, "phase": 0.0}},
+        "observable": "sigma_z",
+        "conserved": {"system": pairs([[0, 0], [0, 1]]), "apparatus": pairs([[0, 0], [0, 1]])},
+    }
+
+
+def labelled_fig1_doc(*labels):
+    doc = fig1_doc()
+    doc["model"]["pointer"]["outcomes"] = list(labels)
+    return doc
+
+
+SWEEP_CASES = {
+    "fig1-own-grid": (fig1_doc, lambda: load_scenario(FIG1).sweep.grid()),
+    "fig1-wrapped-grid": (fig1_doc, lambda: np.linspace(-1.3, 7.9, 37)),
+    "swap-zero-probability": (swap_doc, lambda: np.linspace(0.0, 2 * np.pi, 9)),
+    "csv-quoted-labels": (lambda: labelled_fig1_doc("a,b", 'q"t'), lambda: np.linspace(0.0, 1.0, 3)),
+    "non-ascii-labels": (lambda: labelled_fig1_doc("é", "50% 𝜑"), lambda: np.linspace(0.0, 1.0, 3)),
+    "chunk-1": (fig1_doc, lambda: np.linspace(0.0, 2 * np.pi, SWEEP_CHUNK - 1)),
+    "chunk": (fig1_doc, lambda: np.linspace(0.0, 2 * np.pi, SWEEP_CHUNK)),
+    "chunk+1": (swap_doc, lambda: np.linspace(0.0, 2 * np.pi, SWEEP_CHUNK + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_chunks_equal_the_per_record_renderers(case, kind, tmp_path):
+    # The columns, written chunk by chunk with one %-format per row, give
+    # the bytes the per-record renderers give for the per-point reference:
+    # labels quoted, escaped and %-safe, error lines in place, and grids
+    # one point either side of a chunk boundary.
+    doc, grid = SWEEP_CASES[case]
+    scenario = load_scenario(write_doc(tmp_path, doc()))
+    grid = grid()
+    reference = reference_json if kind == "json" else reference_csv
+    assert "".join(sweep_chunks(sweep_columns(scenario, grid), kind)) == reference(*per_point_sweep(scenario, grid))
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_all_error_sweep_writes_no_records(kind, tmp_path, monkeypatch):
+    # With the floor above every probability, each cell is an error line
+    # and the JSON records list is empty.
+    import symcond.report
+
+    monkeypatch.setattr(symcond.report, "P_FLOOR", 2.0)
+    scenario = load_scenario(FIG1)
+    grid = np.linspace(0.0, 1.0, 3)
+    columns = sweep_columns(scenario, grid)
+    assert len(columns.phi) == 0 and len(columns.errors) == 6
+    text = "".join(sweep_chunks(columns, kind))
+    assert text == (reference_json if kind == "json" else reference_csv)([], columns.errors)
+    if kind == "json":
+        assert '\n  "records": []\n}\n' in text
+
+
+def test_sweep_chunks_are_written_as_formed(capsys, monkeypatch):
+    # The CLI writes each piece as the writer yields it, never one string
+    # of the whole sweep: a grid of 2·SWEEP_CHUNK + 1 points gives two
+    # outcomes' rows in 5 row pieces between the header and the tail.
+    import sys
+
+    writes = []
+    real = sys.stdout
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return real.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["sweep", FIG1, "--steps", str(2 * SWEEP_CHUNK + 1)]) == EXIT_OK
+    assert len(writes) == 1 + 5 + 1
+    assert max(w.count("\n") for w in writes) == SWEEP_CHUNK
 
 
 def test_selftest_decomposes_each_random_observable_once(monkeypatch):
@@ -947,7 +1123,7 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
         "random_number_conserving_model",
         "random_hermitian",
         "jc_unitary_closed_form",
-        "verify_theorems",
+        "_theorem1",
         "blockwise_conditional_values",
     ):
         recording(name)
@@ -966,8 +1142,8 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
         conserving,
         "random_diagonal_density",
         "random_density",
-        "verify_theorems",
-        "verify_theorems",
+        "_theorem1",
+        "_theorem1",
         "blockwise_conditional_values",
     ] * 10 + ["random_hermitian", "random_density"] * 20 + ["jc_unitary_closed_form"] * 15
     assert log == expected
@@ -978,8 +1154,8 @@ def test_selftest_draws_and_evaluates_every_instance(monkeypatch):
 
 def test_selftest_compiles_each_instance_once(monkeypatch):
     # One compile per unconstrained instance (20), and per conserving
-    # instance one shared by both theorem calls and the blockwise check,
-    # plus each theorem call's decohered-apparatus twin (10 × 3).
+    # instance one shared by both theorem-1 branches and the blockwise
+    # check, plus one of its decohered-apparatus twin (10 × 2).
     from symcond.engine import CompiledModel
 
     compiles = []
@@ -990,8 +1166,15 @@ def test_selftest_compiles_each_instance_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CompiledModel, "__init__", counting)
+    # Only theorem 1 is measured: theorem 2's own hypotheses never are.
+    import symcond.symmetry
+
+    theorem2 = []
+    for name in ("check_symmetric_product_state", "check_cross_elements_imaginary"):
+        monkeypatch.setattr(symcond.symmetry, name, lambda *args, name=name: theorem2.append(name))
     selftest_checks(42)
-    assert len(compiles) == 20 + 10 * 3
+    assert len(compiles) == 20 + 10 * 2
+    assert theorem2 == []
 
 
 def test_undecodable_scenario_is_parse_error(tmp_path, capsys):

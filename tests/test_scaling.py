@@ -50,3 +50,22 @@ def test_a_child_too_large_for_the_address_space_limit_fails_alone():
 
     argv = [sys.executable, "-c", f"import numpy; numpy.empty({scaling.CHILD_ADDRESS_SPACE}, numpy.uint8)"]
     assert scaling.timed_run(argv, dict(os.environ))["exit"] != 0
+
+
+def test_sweep_leg_records_each_format_per_side():
+    # The sweep leg at its smallest grid: one entry per (points, format)
+    # with the same summary fields as the JC cases, and one stdout digest
+    # per (points, format) in the comparison.
+    sys.path.insert(0, str(ROOT / "tools"))
+    import scaling
+
+    sides = {"change": ROOT / "src"}
+    env = dict(os.environ, **{var: "1" for var in scaling.BLAS_VARS})
+    sweep = scaling.sweep_leg(sides, env, repeat=1, points=(2,))
+    assert [(e["points"], e["rows"], e["format"]) for e in sweep["change"]] == [(2, 4, "csv"), (2, 4, "json")]
+    for entry in sweep["change"]:
+        assert entry["exit"] == [0] and entry["wall_s_median"] > 0 and entry["peak_rss_mb_max"] > 0
+    selftest = [{"seed": 0, "stdout_sha256": ["0" * 64], "wall_s_median": 1.0, "compute_s_median": 0.5}]
+    comparison = scaling.comparison({"change": {"cases": [], "sweep": sweep["change"], "selftest": selftest}})
+    assert set(comparison["stdout_sha256"]) == {"sweep 2 csv", "sweep 2 json", "seed 0 selftest"}
+    assert comparison["sweep"]["2 csv"]["change"]["wall_ratio"] == 1.0

@@ -93,7 +93,7 @@ MUTANTS = (
         "rows.reshape(-1, n).T",
     ),
     (
-        "_theorem_inputs: skip the pinching of the apparatus state",
+        "_companion: skip the pinching of the apparatus state",
         "symmetry",
         "decohered = DensityState(decohere(model.apparatus_state.matrix, quantity.apparatus_spectrum))",
         "decohered = model.apparatus_state",
@@ -111,10 +111,16 @@ MUTANTS = (
         "    return p",
     ),
     (
-        "sweep_records: flip the sign of the difference",
+        "sweep_columns: flip the sign of the difference column",
         "report",
-        "SweepRecord(phi, labels[i], p[g][i], d, d_dec, d - d_dec)",
-        "SweepRecord(phi, labels[i], p[g][i], d, d_dec, d_dec - d)",
+        "difference = coherent - decohered",
+        "difference = decohered - coherent",
+    ),
+    (
+        "sweep_chunks: drop the separator between JSON chunks",
+        "report",
+        'yield (joiner if a else "") + joiner.join(',
+        "yield joiner.join(",
     ),
     (
         "run_report: rows in model order, not sorted by label",

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Wall time and peak memory of ``symcond run`` and ``symcond theorems``
-over Jaynes-Cummings sizes, and of ``symcond selftest`` at fixed seeds.
+over Jaynes-Cummings sizes, of ``symcond sweep`` over large grids, and of
+``symcond selftest`` at fixed seeds.
 
     python3 tools/scaling.py --out BENCH_14.json
     python3 tools/scaling.py --side parent=../parent/src --side change=src --out BENCH_14.json
@@ -23,14 +24,18 @@ such) instead of exhausting the machine's memory.
 Two legs: a narrow system (dim_s = 2, dim_a up to 512, n up to 1024) and
 a wide one (dim_s up to 128). The largest size a scenario admits,
 dim_s·dim_a = 2048, runs only when asked for with ``--sizes 2x1024``.
+The sweep leg runs ``symcond sweep`` of the bundled fig1 scenario (two
+outcomes) at each of ``SWEEP_POINTS`` grid points, in CSV and JSON, the
+same way; it runs with both JC legs, not with ``--sizes``.
 ``symcond selftest`` runs the same way once per ``SYMCOND_SEED`` in
 ``SELFTEST_SEEDS``, and a second child per seed times its own
 ``selftest_checks(seed)`` call after import, so the check arithmetic is
 resolved apart from the ~0.13 s of interpreter start and import. The
 ``comparison`` section lists the distinct stdout digests of every (case
-or seed, command) across sides, and each side's selftest wall and
-compute times (sums of the per-seed medians) relative to the first
-side. Timings are recorded, never gated.
+or seed, command) across sides, each side's selftest wall and compute
+times (sums of the per-seed medians) relative to the first side, and
+each side's sweep wall time and peak RSS per (points, format) with the
+wall time relative to the first side. Timings are recorded, never gated.
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ LEGS = {
     "wide": ((4, 16), (8, 32), (16, 32), (32, 16), (128, 4)),
 }
 COMMANDS = ("run", "theorems")
+# Grid points of the sweep leg: 4, 100,000 and 200,000 rows of the
+# two-outcome fig1 scenario, the last at the MAX_SWEEP_ROWS cap.
+SWEEP_POINTS = (2, 50_000, 100_000)
+SWEEP_FORMATS = ("csv", "json")
+FIG1 = ROOT / "src" / "symcond" / "data" / "fig1.scenario"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SCHEMA = "symcond-scaling/1"
 SEED = 0  # of the generated scenarios
@@ -141,15 +151,41 @@ def selftest_compute(seed: int, env: dict[str, str]) -> float:
     return round(float(proc.stdout), 5)
 
 
+def sweep_leg(sides: dict[str, Path], env_base: dict[str, str], repeat: int, points=SWEEP_POINTS) -> dict:
+    """``symcond sweep <fig1> --steps P --format F`` for every P in ``points``
+    and both formats, ``repeat`` times per side, sides alternating; one
+    entry per (P, F) and side, in the ``summary`` form."""
+    results = {label: [] for label in sides}
+    for steps in points:
+        for fmt in SWEEP_FORMATS:
+            runs = {label: [] for label in sides}
+            for r in range(repeat):
+                for label in list(sides) if r % 2 == 0 else list(reversed(sides)):
+                    env = dict(env_base, PYTHONPATH=str(sides[label]))
+                    argv = [sys.executable, "-m", "symcond", "sweep", str(FIG1), "--steps", str(steps)]
+                    runs[label].append(timed_run([*argv, "--format", fmt], env))
+            for label, samples in runs.items():
+                entry = {"points": steps, "rows": 2 * steps, "format": fmt, **summary(samples)}
+                results[label].append(entry)
+                print(
+                    f"{label:>8} sweep {steps:>6} points {fmt:<4} {entry['wall_s_median']:.3f}s/"
+                    f"{entry['peak_rss_mb_max']:.0f}MB exit {entry['exit']}",
+                    file=sys.stderr,
+                )
+    return results
+
+
 def comparison(results: dict) -> dict:
-    """Distinct stdout digests per (case or seed, command) across all sides,
-    and each side's total selftest wall and compute times relative to the
-    first side's."""
+    """Distinct stdout digests per (case, sweep or seed, command) across all
+    sides, each side's total selftest wall and compute times relative to
+    the first side's, and each side's sweep wall time and peak RSS."""
     digests: dict[str, set[str]] = {}
     for side in results.values():
         for case in side["cases"]:
             for cmd in COMMANDS:
                 digests.setdefault(f"{case['dim_s']}x{case['dim_a']} {cmd}", set()).update(case[cmd]["stdout_sha256"])
+        for entry in side["sweep"]:
+            digests.setdefault(f"sweep {entry['points']} {entry['format']}", set()).update(entry["stdout_sha256"])
         for entry in side["selftest"]:
             digests.setdefault(f"seed {entry['seed']} selftest", set()).update(entry["stdout_sha256"])
     walls, computes = (
@@ -157,8 +193,20 @@ def comparison(results: dict) -> dict:
         for key in ("wall_s_median", "compute_s_median")
     )
     first = next(iter(walls))
+    sweeps = {}
+    for label, side in results.items():
+        for entry in side["sweep"]:
+            sweeps.setdefault(f"{entry['points']} {entry['format']}", {})[label] = {
+                "wall_s_median": entry["wall_s_median"],
+                "peak_rss_mb_max": entry["peak_rss_mb_max"],
+            }
+    for by_side in sweeps.values():
+        base = next(iter(by_side.values()))["wall_s_median"]
+        for entry in by_side.values():
+            entry["wall_ratio"] = round(entry["wall_s_median"] / base, 4)
     return {
         "stdout_sha256": {key: sorted(values) for key, values in digests.items()},
+        "sweep": sweeps,
         "selftest_wall_s": walls,
         "selftest_wall_ratio": {label: round(wall / walls[first], 4) for label, wall in walls.items()},
         "selftest_compute_s": computes,
@@ -223,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     env_base = dict(os.environ, **{var: "1" for var in BLAS_VARS})
 
-    results = {label: {"cases": [], "selftest": []} for label in sides}
+    results = {label: {"cases": [], "sweep": [], "selftest": []} for label in sides}
     with tempfile.TemporaryDirectory() as tmp:
         for leg, ds, da in cases:
             path = Path(tmp) / f"jc_{ds}x{da}.scenario"
@@ -252,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
 
+    if not args.sizes:
+        for label, entries in sweep_leg(sides, env_base, args.repeat).items():
+            results[label]["sweep"] = entries
+
     for seed in SELFTEST_SEEDS:
         runs = {label: [] for label in sides}
         computes = {label: [] for label in sides}
@@ -274,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "schema": SCHEMA,
         "commands": list(COMMANDS),
+        "sweep_points": list(SWEEP_POINTS) if not args.sizes else [],
         "repeat": args.repeat,
         "seed": SEED,
         "selftest_seeds": list(SELFTEST_SEEDS),
